@@ -15,16 +15,10 @@ whose baseline cost is committed alongside the workload numbers. A host
 that is uniformly 1.8x slower scales every expectation by 1.8x, so only a
 *relative* engine regression trips the gate.
 
-``--kernel {auto,python,numba,portable}`` selects the event-loop kernel
-(ISSUE 4's seam) so both maintained paths stay measured. ``check`` gates
-against the committed ``pr4`` stage entry for the *resolved* kernel
-(falling back to the pr3 ``after`` block when a stage entry is absent);
-requesting ``--kernel numba`` on a host without numba fails loudly
-instead of silently timing the python fallback, and a numba build whose
-JIT quietly broke shows up as a >25% regression against its own
-committed numbers. ``measure --update pr4`` rewrites the resolved
-kernel's ``pr4`` entry (plus calibration) in place; ``--update
-before|after`` keep maintaining the historic pr2/pr3 blocks.
+``check`` gates against the committed ``pr4`` stage entry (falling back
+to the pr3 ``after`` block when the stage entry is absent). ``measure
+--update pr4`` rewrites that entry (plus calibration) in place;
+``--update before|after`` keep maintaining the historic pr2/pr3 blocks.
 
 Workloads (chosen to cover both engine regimes):
 
@@ -47,14 +41,12 @@ side-array writes behind a branch, and the untraced workloads above are
 what ``check`` gates), so this stage documents the opt-in cost instead of
 gating it; ``--update pr7`` records it in ``BENCH_engine.json``.
 
-``pr8`` measures the variant-batched dispatch stages (ISSUE 8) and
-``--update pr8`` records them under a ``pr8`` block keyed by resolved
-kernel (suffixed ``_parallel`` when ``REPRO_ENGINE_PARALLEL`` is on):
+``pr8`` measures the shared-core dispatch stages and ``--update pr8``
+records them under the ``pr8`` block:
 
-* ``batch_variants_8`` vs ``variant_dispatch_8`` — 8 seed-variants of an
-  AlexNet v2 2-worker cluster on ONE shared core, 2 iterations each:
-  one ``run_variants`` sweep against 8 ``run_iterations`` calls (the
-  engine-layer batch entry; per-second numbers are per iteration).
+* ``variant_dispatch_8`` — 8 seed-variants of an AlexNet v2 2-worker
+  cluster on ONE shared core, 2 iterations each, as 8
+  ``run_iterations`` calls (per-second numbers are per iteration).
 * ``sweep_group_batched`` vs ``sweep_group_dispatch`` — a 32-cell
   shared-core group (single-worker AlexNet v2 inference, one measured
   iteration per cell: the fine-grained autotuning regime) through
@@ -62,9 +54,9 @@ kernel (suffixed ``_parallel`` when ``REPRO_ENGINE_PARALLEL`` is on):
   per worker task) against one task per cell (per-second numbers are
   per cell-iteration).
 
-``check`` gates the committed pr8 stage entry for the resolved kernel
-alongside pr4; the sweep stages gate at a widened tolerance (pool
-scheduling noise) while the engine stages use the standard one.
+``check`` gates the committed pr8 stage entry alongside pr4; the sweep
+stages gate at a widened tolerance (pool scheduling noise) while the
+engine stage uses the standard one.
 """
 
 from __future__ import annotations
@@ -80,8 +72,12 @@ import numpy as np
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_engine.json")
 
+#: sub-entry of the per-stage blocks (pr4/pr7_trace/pr8) that holds the
+#: engine's numbers.
+STAGE_KEY = "python"
 
-def build_workloads(kernel: str = "auto", trace: bool = False):
+
+def build_workloads(trace: bool = False):
     from repro.core import Schedule
     from repro.models import build_model
     from repro.ps import ClusterSpec, build_cluster_graph
@@ -99,10 +95,9 @@ def build_workloads(kernel: str = "auto", trace: bool = False):
     cluster = build_cluster_graph(ir, ClusterSpec(4, 1, "training"))
     core = CompiledCore(cluster, ENV_G)
     layerwise = Schedule("layerwise", {p.name: i for i, p in enumerate(ir.params)})
-    plain = SimVariant(core, None, SimConfig(kernel=kernel, trace=trace))
+    plain = SimVariant(core, None, SimConfig(trace=trace))
     sched = SimVariant(core, layerwise,
-                       SimConfig(enforcement="sender", kernel=kernel,
-                                 trace=trace))
+                       SimConfig(enforcement="sender", trace=trace))
 
     mix_spec = JobMixSpec(
         jobs=(
@@ -114,22 +109,22 @@ def build_workloads(kernel: str = "auto", trace: bool = False):
     )
     mix_core = CompiledCore(build_jobmix_graph(None, mix_spec),
                             get_platform("envC"))
-    mix = SimVariant(mix_core, None, SimConfig(kernel=kernel, trace=trace))
+    mix = SimVariant(mix_core, None, SimConfig(trace=trace))
 
     return {
         "iteration_unscheduled": (lambda: plain.run_iteration(0), 1),
         "iteration_scheduled": (lambda: sched.run_iteration(0), 1),
         "batch_10": (lambda: plain.run_iterations(0, 10), 10),
         "jobmix_packed": (lambda: mix.run_iteration(0), 1),
-    }, plain.kernel
+    }
 
 
-def build_pr8_workloads(kernel: str = "auto"):
-    """ISSUE 8 stages (see module docstring). Returns ``(workloads,
-    resolved_kernel, runner)`` — the caller must ``runner.close()``."""
+def build_pr8_workloads():
+    """The pr8 stages (see module docstring). Returns ``(workloads,
+    runner)`` — the caller must ``runner.close()``."""
     from repro.models import build_model
     from repro.ps import ClusterSpec, build_cluster_graph
-    from repro.sim import CompiledCore, SimConfig, SimVariant, run_variants
+    from repro.sim import CompiledCore, SimConfig, SimVariant
     from repro.sweep import SimCell, SweepRunner
     from repro.timing import ENV_G
 
@@ -138,12 +133,9 @@ def build_pr8_workloads(kernel: str = "auto"):
     core = CompiledCore(build_cluster_graph(ir, spec), ENV_G)
     iters = 2
     variants = [
-        SimVariant(core, None, SimConfig(kernel=kernel, seed=s))
+        SimVariant(core, None, SimConfig(seed=s))
         for s in range(8)
     ]
-
-    def batched():
-        return run_variants(core, variants, iters)
 
     def dispatch():
         return [v.run_iterations(0, iters) for v in variants]
@@ -151,7 +143,7 @@ def build_pr8_workloads(kernel: str = "auto"):
     # The sweep stage models the fine-grained autotuning regime batching
     # exists for: MANY cheap variants of one shared core, one measured
     # iteration each — per-cell dispatch overhead rivals the simulation.
-    cfg = SimConfig(iterations=1, warmup=0, kernel=kernel)
+    cfg = SimConfig(iterations=1, warmup=0)
     sweep_spec = ClusterSpec(1, 1, "inference")
     cells = [
         SimCell(model="AlexNet v2", spec=sweep_spec, algorithm="baseline",
@@ -172,19 +164,17 @@ def build_pr8_workloads(kernel: str = "auto"):
         return runner.run_cells(cells)
 
     workloads = {
-        "batch_variants_8": (batched, 8 * iters),
         "variant_dispatch_8": (dispatch, 8 * iters),
         "sweep_group_batched": (sweep_batched, len(cells)),
         "sweep_group_dispatch": (sweep_dispatch, len(cells)),
     }
-    return workloads, variants[0].kernel, runner
+    return workloads, runner
 
 
-def measure_pr8(repeats: int = 5,
-                kernel: str = "auto") -> tuple[dict, dict, str]:
+def measure_pr8(repeats: int = 5) -> tuple[dict, dict]:
     """(seconds-per-iteration per pr8 stage, dispatch/batched speedup
-    ratios, resolved kernel name)."""
-    workloads, resolved, runner = build_pr8_workloads(kernel)
+    ratio of the sweep stages)."""
+    workloads, runner = build_pr8_workloads()
     try:
         results = {}
         for name, (fn, per_call) in workloads.items():
@@ -194,14 +184,11 @@ def measure_pr8(repeats: int = 5,
     finally:
         runner.close()
     ratios = {
-        "variants": round(
-            results["variant_dispatch_8"] / results["batch_variants_8"], 2
-        ),
         "sweep_group": round(
             results["sweep_group_dispatch"] / results["sweep_group_batched"], 2
         ),
     }
-    return results, ratios, resolved
+    return results, ratios
 
 
 def _calibration_kernel() -> float:
@@ -229,19 +216,17 @@ def _calibration_kernel() -> float:
     return acc
 
 
-def measure(repeats: int = 5, kernel: str = "auto",
-            trace: bool = False) -> tuple[dict, float, str]:
-    """(seconds-per-iteration per workload, calibration seconds, resolved
-    kernel name)."""
-    workloads, resolved = build_workloads(kernel, trace)
+def measure(repeats: int = 5, trace: bool = False) -> tuple[dict, float]:
+    """(seconds-per-iteration per workload, calibration seconds)."""
+    workloads = build_workloads(trace)
     results = {}
     for name, (fn, per_call) in workloads.items():
-        fn()  # warm caches (allocator, first-touch numpy paths, JIT)
+        fn()  # warm caches (allocator, first-touch numpy paths)
         best = min(_time_once(fn) for _ in range(repeats))
         results[name] = best / per_call
     _calibration_kernel()
     calibration = min(_time_once(_calibration_kernel) for _ in range(repeats))
-    return results, calibration, resolved
+    return results, calibration
 
 
 def _time_once(fn) -> float:
@@ -255,19 +240,12 @@ def load_baseline() -> dict:
         return json.load(fh)
 
 
-def _stage_key(resolved: str) -> str:
-    """pr4 stage entries are keyed python/numba; 'portable' measures the
-    numba algorithm uncompiled and is never a gate baseline."""
-    return "numba" if resolved == "numba" else "python"
-
-
-def _gate_baseline(bench: dict, resolved: str) -> tuple[dict, float, str]:
-    """(workload baseline, its calibration, label) for the resolved
-    kernel: the pr4 stage entry when committed, else the pr3 'after'."""
-    entry = (bench.get("pr4") or {}).get(_stage_key(resolved))
+def _gate_baseline(bench: dict) -> tuple[dict, float, str]:
+    """(workload baseline, its calibration, label): the pr4 stage entry
+    when committed, else the pr3 'after'."""
+    entry = (bench.get("pr4") or {}).get(STAGE_KEY)
     if entry and entry.get("workloads"):
-        return (entry["workloads"], entry.get("calibration"),
-                f"pr4[{_stage_key(resolved)}]")
+        return entry["workloads"], entry.get("calibration"), "pr4"
     return bench["after"], bench.get("after_calibration"), "after (pr3)"
 
 
@@ -278,21 +256,11 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional slowdown vs baseline (check)")
-    parser.add_argument("--kernel", default="auto",
-                        choices=["auto", "python", "numba", "portable"],
-                        help="event-loop kernel to measure (ISSUE 4 seam); "
-                        "explicit 'numba' fails loudly when numba is missing")
     parser.add_argument("--update",
                         choices=["before", "after", "pr4", "pr7", "pr8"],
                         help="write measurements into BENCH_engine.json "
                         "(pr7 records the trace-overhead stage, pr8 the "
-                        "variant-batched stages)")
-    parser.add_argument("--min-numba-speedup", type=float, default=1.5,
-                        help="when checking --kernel numba WITHOUT a committed "
-                        "pr4[numba] stage entry, require at least this "
-                        "speedup over the python baseline — a JIT that "
-                        "compiles-but-interprets runs at python speed and "
-                        "must fail, not slip through the fallback gate")
+                        "shared-core dispatch stages)")
     args = parser.parse_args(argv)
     if args.update == "pr8" and args.command != "pr8":
         parser.error("--update pr8 belongs to the 'pr8' command")
@@ -302,18 +270,11 @@ def main(argv=None) -> int:
         return pr8_stage(args)
     if args.command == "trace-overhead":
         return trace_overhead(args)
-    if args.command == "check" and args.kernel == "portable":
-        parser.error(
-            "--kernel portable is a debug path (the array kernel, "
-            "uncompiled on numba-less hosts) and has no gate baseline; "
-            "check with --kernel auto|python|numba"
-        )
 
-    results, calibration, resolved = measure(args.repeats, args.kernel)
+    results, calibration = measure(args.repeats)
     print(json.dumps(
         {**{k: round(v, 6) for k, v in results.items()},
-         "calibration": round(calibration, 6),
-         "kernel": resolved},
+         "calibration": round(calibration, 6)},
         indent=1,
     ))
 
@@ -321,8 +282,7 @@ def main(argv=None) -> int:
         bench = load_baseline()
         if args.update == "pr4":
             stage = bench.setdefault("pr4", {})
-            stage[_stage_key(resolved)] = {
-                "kernel": resolved,
+            stage[STAGE_KEY] = {
                 "workloads": {k: round(v, 6) for k, v in results.items()},
                 "calibration": round(calibration, 6),
             }
@@ -337,57 +297,37 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         bench = load_baseline()
-        baseline, base_cal, label = _gate_baseline(bench, resolved)
+        baseline, base_cal, label = _gate_baseline(bench)
         scale = calibration / base_cal if base_cal else 1.0
-        print(f"kernel: {resolved}; baseline: {label}")
+        print(f"baseline: {label}")
         print(f"host speed vs baseline host: {scale:.2f}x "
               f"(calibration {calibration*1e3:.0f} ms vs {base_cal*1e3:.0f} ms)"
               if base_cal else "no calibration baseline; absolute comparison")
-        # With no committed numba stage entry the fallback baseline is the
-        # python loop, which a silently-interpreted JIT matches instead of
-        # beating — so in that configuration the gate flips to a minimum-
-        # speedup requirement rather than a maximum-slowdown one.
-        min_speedup = (
-            args.min_numba_speedup
-            if resolved == "numba" and label.endswith("(pr3)")
-            else None
-        )
-        if min_speedup:
-            print(f"no committed pr4[numba] stage: requiring >={min_speedup}x "
-                  "over the python baseline (record one with "
-                  "'measure --update pr4 --kernel numba')")
         failures = []
         for name, sec in results.items():
             ref = baseline.get(name)
             if ref is None:
                 continue
-            if min_speedup:
-                speedup = (ref * scale) / sec
-                bad = speedup < min_speedup
-                status = "FAIL" if bad else "ok"
-                print(f"  {name}: {sec*1e3:.1f} ms vs scaled python baseline "
-                      f"{ref*scale*1e3:.1f} ms ({speedup:.2f}x) {status}")
-            else:
-                slowdown = sec / (ref * scale) - 1.0
-                bad = slowdown > args.tolerance
-                status = "FAIL" if bad else "ok"
-                print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
-                      f"{ref*scale*1e3:.1f} ms ({slowdown:+.0%}) {status}")
+            slowdown = sec / (ref * scale) - 1.0
+            bad = slowdown > args.tolerance
+            status = "FAIL" if bad else "ok"
+            print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
+                  f"{ref*scale*1e3:.1f} ms ({slowdown:+.0%}) {status}")
             if bad:
                 failures.append(name)
-        pr8_entry = (bench.get("pr8") or {}).get(_stage_key(resolved))
+        pr8_entry = (bench.get("pr8") or {}).get(STAGE_KEY)
         if pr8_entry and pr8_entry.get("workloads"):
-            p8_results, p8_ratios, _ = measure_pr8(args.repeats, args.kernel)
+            p8_results, p8_ratios = measure_pr8(args.repeats)
             cal8 = pr8_entry.get("calibration")
             scale8 = calibration / cal8 if cal8 else 1.0
-            print(f"pr8 stages (batched dispatch, {p8_ratios} speedups):")
+            print(f"pr8 stages (shared-core dispatch, {p8_ratios} speedups):")
             for name, sec in p8_results.items():
                 ref = pr8_entry["workloads"].get(name)
                 if ref is None:
                     continue
                 # sweep stages ride a live process pool: scheduling noise
                 # earns them a wider gate than the in-process ones.
-                tol = (args.tolerance if name.startswith(("batch_", "variant_"))
+                tol = (args.tolerance if name.startswith("variant_")
                        else max(args.tolerance, 0.5))
                 slowdown = sec / (ref * scale8) - 1.0
                 bad = slowdown > tol
@@ -398,42 +338,30 @@ def main(argv=None) -> int:
                 if bad:
                     failures.append(name)
         if failures:
-            if min_speedup:
-                print(f"REGRESSION: {', '.join(failures)} below the "
-                      f"{min_speedup}x numba-vs-python floor (broken or "
-                      "non-compiling JIT?)", file=sys.stderr)
-            else:
-                print(f"REGRESSION: {', '.join(failures)} exceeded "
-                      f"{args.tolerance:.0%} over the committed baseline",
-                      file=sys.stderr)
+            print(f"REGRESSION: {', '.join(failures)} exceeded "
+                  f"{args.tolerance:.0%} over the committed baseline",
+                  file=sys.stderr)
             return 1
         print("engine perf within tolerance")
     return 0
 
 
 def pr8_stage(args) -> int:
-    """Measure the variant-batched dispatch stages and optionally record
-    them (``--update pr8``) under a kernel-keyed ``pr8`` block. The key
-    gains a ``_parallel`` suffix when ``REPRO_ENGINE_PARALLEL`` is on so
-    prange numbers never overwrite (or gate against) serial ones."""
-    from repro.sim.kernel import resolve_parallel
-
-    results, ratios, resolved = measure_pr8(args.repeats, args.kernel)
+    """Measure the shared-core dispatch stages and optionally record them
+    (``--update pr8``) in the ``pr8`` block."""
+    results, ratios = measure_pr8(args.repeats)
     _calibration_kernel()
     calibration = min(_time_once(_calibration_kernel)
                       for _ in range(args.repeats))
-    key = _stage_key(resolved) + ("_parallel" if resolve_parallel() else "")
     print(json.dumps(
         {**{k: round(v, 6) for k, v in results.items()},
          "speedup": ratios,
-         "calibration": round(calibration, 6),
-         "kernel": resolved, "stage_key": key},
+         "calibration": round(calibration, 6)},
         indent=1,
     ))
     if args.update == "pr8":
         bench = load_baseline()
-        bench.setdefault("pr8", {})[key] = {
-            "kernel": resolved,
+        bench.setdefault("pr8", {})[STAGE_KEY] = {
             "workloads": {k: round(v, 6) for k, v in results.items()},
             "speedup": ratios,
             "calibration": round(calibration, 6),
@@ -441,7 +369,7 @@ def pr8_stage(args) -> int:
         with open(BASELINE_PATH, "w") as fh:
             json.dump(bench, fh, indent=1)
             fh.write("\n")
-        print(f"updated 'pr8' [{key}] in {BASELINE_PATH}")
+        print(f"updated 'pr8' in {BASELINE_PATH}")
     return 0
 
 
@@ -454,8 +382,8 @@ def trace_overhead(args) -> int:
     Samples are PAIRED: each repeat times the untraced and traced
     variant back to back, so slow host-frequency drift hits both sides
     of the ratio equally instead of skewing whichever loop ran last."""
-    untraced_w, resolved = build_workloads(args.kernel, trace=False)
-    traced_w, _ = build_workloads(args.kernel, trace=True)
+    untraced_w = build_workloads(trace=False)
+    traced_w = build_workloads(trace=True)
     untraced, traced = {}, {}
     for name, (fn_u, per_call) in untraced_w.items():
         fn_t, _ = traced_w[name]
@@ -475,14 +403,12 @@ def trace_overhead(args) -> int:
         name: round(traced[name] / untraced[name] - 1.0, 4)
         for name in untraced
     }
-    print(f"kernel: {resolved}")
     for name in untraced:
         print(f"  {name}: {untraced[name]*1e3:.1f} ms untraced, "
               f"{traced[name]*1e3:.1f} ms traced ({overhead[name]:+.1%})")
     if args.update == "pr7":
         bench = load_baseline()
-        bench.setdefault("pr7_trace", {})[_stage_key(resolved)] = {
-            "kernel": resolved,
+        bench.setdefault("pr7_trace", {})[STAGE_KEY] = {
             "untraced": {k: round(v, 6) for k, v in untraced.items()},
             "traced": {k: round(v, 6) for k, v in traced.items()},
             "overhead_frac": overhead,
@@ -503,19 +429,6 @@ def _rederive(bench: dict) -> None:
             k: round(before[k] / after[k], 2)
             for k in after
             if k in before and after[k]
-        }
-    entry = (bench.get("pr4") or {}).get("numba") or {}
-    pr4 = entry.get("workloads")
-    # The two stages may be recorded on different hosts; normalize each
-    # side by its own calibration-kernel time before forming the ratio
-    # (the same host-speed scaling the check gate applies).
-    after_cal = bench.get("after_calibration")
-    pr4_cal = entry.get("calibration")
-    if after and pr4 and after_cal and pr4_cal:
-        bench["speedup_pr3_to_pr4_numba"] = {
-            k: round((after[k] / after_cal) / (pr4[k] / pr4_cal), 2)
-            for k in pr4
-            if k in after and pr4[k]
         }
 
 

@@ -2,8 +2,8 @@
 
 Fig. 12a fits a linear regression of scheduling efficiency against
 normalized step time (the paper reports R² = 0.98); Fig. 12b compares step
-time CDFs and 95th percentiles. These helpers wrap scipy so experiments
-and tests share one implementation.
+time CDFs and 95th percentiles. Experiments and tests share these
+helpers; they need only numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -29,18 +28,32 @@ class Regression:
 
 
 def linear_regression(x: Sequence[float], y: Sequence[float]) -> Regression:
-    """OLS fit with R² (squared Pearson correlation), as Fig. 12a reports."""
+    """OLS fit with R² (squared Pearson correlation), as Fig. 12a reports.
+
+    The arithmetic copies the reference ``linregress`` recipe operation
+    for operation (biased covariance, clipped r, the zero-variance
+    branch), so fits match it bit for bit (``tests/analysis`` checks).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D arrays of equal length")
     if len(x) < 3:
         raise ValueError("regression needs at least 3 points")
-    fit = _scipy_stats.linregress(x, y)
+    if np.amax(x) == np.amin(x):
+        raise ValueError("regression needs at least two distinct x values")
+    xmean = np.mean(x)
+    ymean = np.mean(y)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
     return Regression(
-        slope=float(fit.slope),
-        intercept=float(fit.intercept),
-        r2=float(fit.rvalue) ** 2,
+        slope=float(slope),
+        intercept=float(ymean - slope * xmean),
+        r2=float(r) ** 2,
         n=len(x),
     )
 

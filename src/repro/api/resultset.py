@@ -3,8 +3,7 @@
 A :class:`ResultSet` bundles a scenario run's primary table, any
 auxiliary tables (e.g. the all-reduce wire check), the rendered text
 report, free-form extras, and :class:`Provenance` — which engine
-revision, event-loop kernel, scale and cache behaviour produced the
-numbers. Writing CSVs is an explicit, separate step
+revision, scale and cache behaviour produced the numbers. Writing CSVs is an explicit, separate step
 (:meth:`ResultSet.to_csv` / :meth:`ResultSet.save`), so embedders can
 consume rows directly and the CLI remains a thin persistence shell.
 """
@@ -44,7 +43,6 @@ class Provenance:
     seed: int
     jobs: int
     engine_rev: int
-    kernel: str
     backends: tuple[str, ...]
     #: sweep-cache activity during this run: hits/misses/writes deltas.
     cache: Mapping[str, int]
@@ -57,7 +55,6 @@ class Provenance:
             "seed": self.seed,
             "jobs": self.jobs,
             "engine_rev": self.engine_rev,
-            "kernel": self.kernel,
             "backends": list(self.backends),
             "cache": dict(self.cache),
             "elapsed_s": self.elapsed_s,

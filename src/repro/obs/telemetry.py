@@ -33,7 +33,7 @@ Counter schema (all optional — absent means zero):
 ``shared_cell_tasks``     cells fanned out against attached cores (phase B,
                           either lane; each task attaches the core once)
 ``shared_batch_tasks``    batched phase-B tasks (one chunk of a group's
-                          cells per worker, variant-batched kernel sweeps)
+                          cells per worker)
 ``schedule_topups``       wizard top-up tasks for reused cores
 ``fn_tasks``              function tasks executed (non-cell work)
 ``cache_hits/misses/writes``  on-disk cache counters (delta per scenario)

@@ -1,10 +1,8 @@
 """Discrete-event simulation of Model-Replica + PS clusters."""
 
-from . import kernel
 from .config import (
     COMPUTE_QUEUE_POLICIES,
     ENFORCEMENT_MODES,
-    ENGINE_KERNELS,
     SimConfig,
 )
 from .engine import (
@@ -12,8 +10,6 @@ from .engine import (
     CompiledCore,
     IterationRecord,
     SimVariant,
-    iter_variant_records,
-    run_variants,
 )
 from .jobmix import (
     JobMixGraph,
@@ -35,15 +31,11 @@ from .runner import (
 __all__ = [
     "COMPUTE_QUEUE_POLICIES",
     "ENFORCEMENT_MODES",
-    "ENGINE_KERNELS",
     "ENGINE_REV",
-    "kernel",
     "SimConfig",
     "CompiledCore",
     "SimVariant",
     "IterationRecord",
-    "iter_variant_records",
-    "run_variants",
     "IterationResult",
     "SimulationResult",
     "summarize_iteration",

@@ -55,15 +55,7 @@ setup (jitter factors for a whole batch are drawn as one matrix). The
 rewrite is bit-exact: the RNG stream per ``(seed, iteration)`` and every
 floating-point operation order are preserved from the reference
 implementation (see ``tests/sim/test_engine_golden.py``).
-
-**Kernel seam.** The event loop exists in two interchangeable,
-bit-exact implementations selected by ``SimConfig.kernel`` /
-``REPRO_ENGINE_KERNEL``: the tuned pure-Python loop in this module
-(:meth:`SimVariant._execute`, always available) and the numba
-``@njit(cache=True)`` array kernel in :mod:`repro.sim.kernel`
-(:meth:`SimVariant._execute_kernel`; optional dependency, auto-detected).
-``tests/sim/test_kernel_parity.py`` pins them against each other and the
-golden matrix, so the kernel choice is observable only in wall time.
+:meth:`SimVariant._execute` is the engine's one event loop.
 """
 
 from __future__ import annotations
@@ -81,7 +73,6 @@ from ..graph import OpKind, ResourceKind
 from ..obs.events import TraceEvents
 from ..ps.cluster import ClusterGraph
 from ..timing import Platform
-from . import kernel as _kernel
 from .config import SimConfig
 
 #: Revision of the engine's compiled-array layout / numerical contract.
@@ -124,10 +115,6 @@ def _compute_fault_end(t: float, work: float, windows) -> float:
     ``t`` under sorted disjoint ``(w0, w1, rate)`` fault windows, where
     ``rate`` is the fraction of nominal speed inside the window and
     ``rate == 0`` stalls (work resumes where it stopped at window end).
-
-    KEEP IN SYNC with :func:`repro.sim.kernel._compute_fault_end`: the
-    two kernels stay bit-exact only because both walk the windows with
-    this exact floating-point operation order.
     """
     cur = t
     rem = work
@@ -155,8 +142,7 @@ def _chunk_fault_end(t: float, work: float, windows) -> float:
     """Like :func:`_compute_fault_end` for one wire chunk, except a
     zero-rate (outage) window *loses* the in-flight chunk: transmission
     restarts from the full chunk at window end (host failure / dead-link
-    semantics — the RPC retransmits, it does not resume mid-chunk).
-    KEEP IN SYNC with :func:`repro.sim.kernel._chunk_fault_end`."""
+    semantics — the RPC retransmits, it does not resume mid-chunk)."""
     cur = t
     rem = work
     for w0, w1, rate in windows:
@@ -547,12 +533,6 @@ class SimVariant:
             else self.config.jitter_sigma
         )
 
-        # Event-loop kernel seam (ISSUE 4): 'python' keeps the loop in
-        # this module; 'numba'/'portable' route through the array kernel
-        # in repro.sim.kernel. All are bit-exact (golden + parity suites).
-        self.kernel = _kernel.resolve(self.config.kernel)
-        self._kernel_loop = _kernel.loop_for(self.kernel)
-
         # Static per-op slowdown multipliers (compute ops of slow devices).
         self.slowdown = np.ones(n)
         for device, factor in self.config.device_slowdown:
@@ -596,7 +576,6 @@ class SimVariant:
         self._dur0 = self.base_dur.tolist()
         self._wire0 = core.wire_base.tolist()
         self._chunk0 = [self.chunk_wire] * n
-        self._chunk0_arr = np.full(n, self.chunk_wire)
         self._dedicated0 = np.where(
             core.is_transfer, core.wire_base + core.lat, self.base_dur
         )
@@ -729,9 +708,8 @@ class SimVariant:
         ``ceil(wire/chunk)`` is jitter-invariant — the bound is a pure
         function of core tables and ``chunk_wire`` and is computed once
         per variant instead of per iteration (+1 slack per op for
-        floating-point residue passes, +64 headroom). Both event loops
-        still survive an undersized bound: the kernel aborts and replays
-        with a grown buffer, the python loop grows its arrays in place.
+        floating-point residue passes, +64 headroom). The event loop
+        still survives an undersized bound by growing its lists in place.
         """
         cap = getattr(self, "_trace_cap_cached", None)
         if cap is None:
@@ -773,15 +751,6 @@ class SimVariant:
         core = self.core
         n = core.n
         sigma = self._jitter_sigma
-        use_kernel = self._kernel_loop is not None
-        if use_kernel and not cfg.trace:
-            # untraced array-kernel runs go through the variant-batched
-            # entry: the whole slab of iterations becomes ONE kernel call
-            # (the iteration loop lives inside the JIT), bit-exact with
-            # the per-iteration dispatch below.
-            for _vi, record in iter_variant_records([self], count, first):
-                yield record
-            return
         for lo in range(0, max(count, 0), self._SLAB):
             slab = min(self._SLAB, count - lo)
             rngs = [
@@ -801,54 +770,19 @@ class SimVariant:
                 for i in range(slab):
                     # the dedicated row is copied so a surviving record
                     # does not pin the whole slab matrix alive
-                    if use_kernel:
-                        yield self._execute_kernel(
-                            rngs[i], durs[i], wires[i], chunks[i],
-                            dedicated[i].copy(),
-                        )
-                    else:
-                        yield self._execute(
-                            rngs[i],
-                            durs[i].tolist(),
-                            wires[i].tolist(),
-                            chunks[i].tolist(),
-                            dedicated[i].copy(),
-                        )
+                    yield self._execute(
+                        rngs[i],
+                        durs[i].tolist(),
+                        wires[i].tolist(),
+                        chunks[i].tolist(),
+                        dedicated[i].copy(),
+                    )
             else:
                 for rng in rngs:
-                    if use_kernel:
-                        yield self._execute_kernel(
-                            rng, self.base_dur, core.wire_base,
-                            self._chunk0_arr, self._dedicated0.copy(),
-                        )
-                    else:
-                        yield self._execute(
-                            rng, self._dur0, self._wire0, self._chunk0,
-                            self._dedicated0.copy(),
-                        )
-
-    # ------------------------------------------------------------------
-    def _execute_kernel(self, rng, dur, wire, chunk_of, dedicated) -> IterationRecord:
-        """Run one iteration through the array kernel (numba/portable).
-
-        Bit-exact with :meth:`_execute`: the kernel replays the same
-        event order and consumes the same RNG stream (see
-        :mod:`repro.sim.kernel`)."""
-        start_arr, end_arr, traced = _kernel.execute_event_loop(
-            self, rng, dur, wire, chunk_of, self._kernel_loop
-        )
-        if np.isnan(end_arr).any():  # pragma: no cover - would indicate a bug
-            stuck = int(np.isnan(end_arr).sum())
-            raise RuntimeError(f"simulation deadlock: {stuck} ops never ran")
-        trace = None if traced is None else TraceEvents(*traced)
-        return IterationRecord(
-            makespan=float(np.nanmax(end_arr)),
-            start=start_arr,
-            end=end_arr,
-            dedicated=dedicated,
-            out_of_order_handoffs=self._count_out_of_order(start_arr),
-            trace=trace,
-        )
+                    yield self._execute(
+                        rng, self._dur0, self._wire0, self._chunk0,
+                        self._dedicated0.copy(),
+                    )
 
     # ------------------------------------------------------------------
     def _execute(self, rng, dur, wire, chunk_of, dedicated) -> IterationRecord:
@@ -1367,125 +1301,3 @@ class SimVariant:
                 wire_actual[core.is_transfer].sum() / self.config.fabric_slots
             )
         return out
-
-
-# ----------------------------------------------------------------------
-# variant-batched execution (ISSUE 8)
-# ----------------------------------------------------------------------
-def iter_variant_records(variants, count, first=0, *, parallel=None):
-    """Stream ``(variant_index, IterationRecord)`` for every variant of a
-    shared-core set across ``count`` iterations, variant-major.
-
-    This is the batched lane behind :func:`run_variants` and the sweep
-    runner: the ``(variant, iteration)`` grid is flattened into rows,
-    sliced into ``SimVariant._SLAB``-row slabs, and each slab runs as ONE
-    kernel call (:func:`repro.sim.kernel.execute_rows`) against the
-    shared :class:`CompiledCore` tables plus stacked per-variant arrays.
-    Every row's RNG, jitter factors and dedicated times are built exactly
-    as :meth:`SimVariant.iter_iterations` builds them, so the records are
-    bit-identical to the one-at-a-time path — batching (like ``kernel``
-    and ``trace``) never changes results.
-
-    Falls back to per-variant :meth:`~SimVariant.iter_iterations` when
-    any variant cannot batch (python kernel, or tracing on) — same yield
-    order, same records, just per-iteration dispatch.
-
-    ``parallel=None`` reads ``REPRO_ENGINE_PARALLEL`` (see
-    :func:`repro.sim.kernel.resolve_parallel`); rows are independent, so
-    the ``prange`` entry is bit-exact too.
-    """
-    if not variants:
-        return
-    core = variants[0].core
-    for v in variants[1:]:
-        if v.core is not core:
-            raise ValueError(
-                "iter_variant_records requires variants sharing one "
-                "CompiledCore (got distinct cores)"
-            )
-    count = max(int(count), 0)
-    if any(v._kernel_loop is None or v.config.trace for v in variants):
-        for vi, v in enumerate(variants):
-            for record in v.iter_iterations(first, count):
-                yield vi, record
-        return
-    n = core.n
-    rows = [(vi, it) for vi in range(len(variants)) for it in range(count)]
-    slab_rows = SimVariant._SLAB
-    for lo in range(0, len(rows), slab_rows):
-        chunk = rows[lo:lo + slab_rows]
-        n_rows = len(chunk)
-        vrow = np.array([vi for vi, _it in chunk], dtype=np.int64)
-        rngs = [
-            np.random.default_rng(
-                np.random.SeedSequence((variants[vi].config.seed, first + it))
-            )
-            for vi, it in chunk
-        ]
-        DUR = np.empty((n_rows, n))
-        WIRE = np.empty((n_rows, n))
-        CHUNK = np.empty((n_rows, n))
-        DED = np.empty((n_rows, n))
-        for r, ((vi, _it), rng) in enumerate(zip(chunk, rngs)):
-            v = variants[vi]
-            sigma = v._jitter_sigma
-            if sigma > 0:
-                # jitter is drawn BEFORE execute_rows pre-draws the raw
-                # stream, so each row's generator position matches the
-                # single-iteration path exactly.
-                factors = rng.lognormal(0.0, sigma, n)
-                DUR[r] = v.base_dur * factors
-                WIRE[r] = core.wire_base * factors
-                CHUNK[r] = v.chunk_wire * factors
-                DED[r] = np.where(core.is_transfer, WIRE[r] + core.lat, DUR[r])
-            else:
-                DUR[r] = v.base_dur
-                WIRE[r] = core.wire_base
-                CHUNK[r] = v._chunk0_arr
-                DED[r] = v._dedicated0
-        START, END = _kernel.execute_rows(
-            variants, vrow, rngs, DUR, WIRE, CHUNK, parallel=parallel
-        )
-        for r, (vi, _it) in enumerate(chunk):
-            v = variants[vi]
-            # rows are copied out of the slab matrices so a surviving
-            # record never pins the whole slab alive
-            end_row = END[r].copy()
-            if np.isnan(end_row).any():  # pragma: no cover - engine bug
-                stuck = int(np.isnan(end_row).sum())
-                raise RuntimeError(
-                    f"simulation deadlock: {stuck} ops never ran"
-                )
-            start_row = START[r].copy()
-            yield vi, IterationRecord(
-                makespan=float(np.nanmax(end_row)),
-                start=start_row,
-                end=end_row,
-                dedicated=DED[r].copy(),
-                out_of_order_handoffs=v._count_out_of_order(start_row),
-            )
-
-
-def run_variants(core, variants, iterations, first=0, *, parallel=None):
-    """Run every variant of one shared core for ``iterations`` iterations
-    through the batched kernel lane; returns one ``IterationRecord`` list
-    per variant, each bit-identical to
-    ``variants[i].run_iterations(first, iterations)``.
-
-    ``core`` must be the (single) ``CompiledCore`` every variant wraps —
-    passing it explicitly keeps call sites honest about the shared-core
-    contract the batched kernel entry relies on.
-    """
-    for v in variants:
-        if v.core is not core:
-            raise ValueError(
-                "run_variants: every variant must wrap the given core"
-            )
-    out: list[list[IterationRecord]] = [[] for _ in variants]
-    for vi, record in iter_variant_records(
-        variants, iterations, first, parallel=parallel
-    ):
-        out[vi].append(record)
-    return out
-
-

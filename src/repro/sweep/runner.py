@@ -20,16 +20,14 @@ Execution pipeline for a batch of :class:`~repro.sweep.spec.SimCell`:
    schedules, and — as soon as that completes, no cross-group barrier —
    the group's cells fan out against the attached read-only core, so a
    grid's variants parallelize across the pool instead of serializing
-   inside one group task. By default the fan-out is **batched** (ISSUE
-   8): each worker receives a contiguous chunk of the group's cells and
-   runs ALL their iterations through the variant-batched kernel entry —
-   whole slabs of (variant, iteration) rows per compiled call instead
-   of one dispatch each (``batch_cells=False`` restores one task per
-   cell). Small groups in a group-rich batch keep the classic
-   one-task-per-group lane on the same pool (group-level parallelism
-   already saturates it). Cells are independent and the engine seeds
-   from ``(config.seed, iteration)``, so serial, grouped, shared-core
-   and batched execution produce bitwise-identical results.
+   inside one group task. By default the fan-out is **batched**: each
+   worker receives a contiguous chunk of the group's cells and runs them
+   all in one task, attaching the core once (``batch_cells=False``
+   restores one task per cell). Small groups in a group-rich batch keep
+   the classic one-task-per-group lane on the same pool (group-level
+   parallelism already saturates it). Cells are independent and the
+   engine seeds from ``(config.seed, iteration)``, so serial, grouped,
+   shared-core and batched execution produce bitwise-identical results.
 5. **Round-trip** — every fresh result passes through the JSON
    serialization (lossless for IEEE doubles) before being returned and
    cached, so the first run and every cached re-run yield the exact same
@@ -149,19 +147,16 @@ def _prepare_group(cells: Sequence[SimCell]) -> _PreparedGroup:
 
 
 
-def _run_shared_cell(args: tuple) -> tuple:
-    """Phase B worker entry point: simulate one cell against an attached
-    shared core. Mirrors :func:`repro.sim.runner.simulate_cluster` (same
-    variant binding, same iteration protocol, same summarization), so the
-    result is bit-identical to the grouped/serial paths. Returns
-    ``(elapsed_s, payload)``."""
+def _simulate_shared(core, meta, schedule, cell):
+    """Simulate one cell against an attached shared core. Mirrors
+    :func:`repro.sim.runner.simulate_cluster` (same variant binding,
+    same iteration protocol, same summarization), so the result is
+    bit-identical to the grouped/serial paths. Returns the cell's
+    payload."""
     from ..sim.engine import SimVariant
     from ..sim.metrics import summarize_iteration
     from ..timing import get_platform
 
-    t0 = time.perf_counter()
-    handle, schedule, cell = args
-    core, meta = sharedcore.attach(handle)
     plat = get_platform(cell.platform)
     cfg = cell.config
     if cell.algorithm == "baseline":
@@ -190,79 +185,34 @@ def _run_shared_cell(args: tuple) -> tuple:
     for i, record in enumerate(sim.iter_iterations(0, cfg.total_iterations)):
         summary = summarize_iteration(sim, record, keep_op_times=cfg.keep_op_times)
         (result.warmup if i < cfg.warmup else result.iterations).append(summary)
-    payload = result_to_dict(result) if cell.cacheable else result
+    return result_to_dict(result) if cell.cacheable else result
+
+
+def _run_shared_cell(args: tuple) -> tuple:
+    """Phase B worker entry point: simulate one cell against an attached
+    shared core. ``args`` is ``(handle, schedule, cell)``; returns
+    ``(elapsed_s, payload)``."""
+    t0 = time.perf_counter()
+    handle, schedule, cell = args
+    core, meta = sharedcore.attach(handle)
+    payload = _simulate_shared(core, meta, schedule, cell)
     return time.perf_counter() - t0, payload
 
 
 def _run_shared_cells_batched(args: tuple) -> tuple:
     """Phase B worker entry point (batched lane): simulate MANY cells of
-    one group against the attached shared core, dispatching all their
-    iterations through the variant-batched kernel entry
-    (:func:`repro.sim.engine.iter_variant_records`) — one compiled call
-    per row slab instead of one per (cell, iteration). Cell binding and
-    summarization mirror :func:`_run_shared_cell` exactly, and the
-    batched kernel lane is pinned bit-identical to per-iteration
-    dispatch, so payloads match the per-cell path byte for byte.
-    ``args`` is ``(handle, [(schedule, cell), ...])``; returns
-    ``(elapsed_s, payloads)`` in input cell order."""
-    from ..sim.engine import SimVariant, iter_variant_records
-    from ..sim.metrics import summarize_iteration
-    from ..timing import get_platform
-
+    one group against the attached shared core in one task, so the
+    attach and per-task dispatch are paid once per chunk instead of once
+    per cell. Each cell runs exactly as in :func:`_run_shared_cell`, so
+    payloads match the per-cell path byte for byte. ``args`` is
+    ``(handle, [(schedule, cell), ...])``; returns ``(elapsed_s,
+    payloads)`` in input cell order."""
     t0 = time.perf_counter()
     handle, items = args
     core, meta = sharedcore.attach(handle)
-    sims = []
-    results = []
-    for schedule, cell in items:
-        plat = get_platform(cell.platform)
-        cfg = cell.config
-        if cell.algorithm == "baseline":
-            schedule = Schedule("baseline")
-        elif schedule is None:
-            # belt-and-braces twin of _run_shared_cell: a missing
-            # schedule must never silently mean 'baseline'.
-            from ..backends import prepare_comm_schedule
-            from ..models import build_model
-
-            ir = build_model(cell.model, batch_factor=cell.batch_factor)
-            schedule = prepare_comm_schedule(
-                ir, cell.spec, cell.algorithm, plat, seed=cfg.seed
-            )
-        sims.append(SimVariant(core, schedule, cfg))
-        results.append(
-            SimulationResult(
-                model=meta["model"],
-                batch_size=meta["batch_size"],
-                n_workers=cell.spec.n_workers,
-                n_ps=cell.spec.n_ps,
-                workload=cell.spec.workload,
-                algorithm=schedule.algorithm,
-                platform=plat.name,
-                n_params=meta["n_params"],
-            )
-        )
-    # One batched sweep per distinct iteration protocol (cells of a
-    # group virtually always share one; mixed counts just sub-batch).
-    by_count: dict[int, list[int]] = {}
-    for idx, (_schedule, cell) in enumerate(items):
-        by_count.setdefault(cell.config.total_iterations, []).append(idx)
-    seen = [0] * len(items)
-    for count, idxs in by_count.items():
-        for vi, record in iter_variant_records([sims[i] for i in idxs], count):
-            idx = idxs[vi]
-            sim = sims[idx]
-            i = seen[idx]
-            seen[idx] = i + 1
-            summary = summarize_iteration(
-                sim, record, keep_op_times=sim.config.keep_op_times
-            )
-            result = results[idx]
-            (result.warmup if i < sim.config.warmup
-             else result.iterations).append(summary)
     payloads = [
-        result_to_dict(r) if cell.cacheable else r
-        for (_schedule, cell), r in zip(items, results)
+        _simulate_shared(core, meta, schedule, cell)
+        for schedule, cell in items
     ]
     return time.perf_counter() - t0, payloads
 
@@ -303,10 +253,9 @@ class SweepRunner:
     every unit and refreshes its cache entry. ``share_cores=False``
     forces the legacy one-task-per-group fan-out (no shared memory).
     ``batch_cells=False`` forces one task per shared-core cell instead
-    of the batched lane (ISSUE 8) that hands each worker a chunk of a
-    group's cells to run through one variant-batched kernel sweep —
-    batching, like sharing, never changes results (bit-exact lanes) and
-    is excluded from cache keys.
+    of the batched lane that hands each worker a chunk of a group's
+    cells to run in one task — batching, like sharing, never changes
+    results (bit-exact lanes) and is excluded from cache keys.
 
     The worker pool is persistent: it is spawned on first use and reused
     by every subsequent ``run_cells``/``run_tasks`` call until
@@ -491,8 +440,8 @@ class SweepRunner:
                 for cell in cells
             ]
             if self.batch_cells and len(cells) > 1:
-                # batched lane: one chunk of cells per worker, all their
-                # iterations dispatched as variant-batched kernel sweeps.
+                # batched lane: one chunk of cells per worker, each
+                # chunk run as one task.
                 for chunk in _balanced_chunks(items, self.jobs):
                     tm.add("shared_batch_tasks")
                     fut = pool.submit(

@@ -218,8 +218,8 @@ def attach(handle: SharedCoreHandle) -> tuple[CompiledCore, dict]:
     """Map a published core read-only and rebuild it (cached per process).
 
     Returns ``(core, meta)``. The array attributes are zero-copy views
-    of the shared block with ``writeable=False``; list mirrors and
-    kernel tables are rebuilt locally (cheap O(n) ``tolist`` fills).
+    of the shared block with ``writeable=False``; the list mirrors are
+    rebuilt locally (cheap O(n) ``tolist`` fills).
     """
     got = _ATTACHED.get(handle.shm_name)
     if got is not None:

@@ -46,6 +46,29 @@ def test_regression_input_validation():
         linear_regression([1, 2, 3], [1, 2])
 
 
+def test_regression_rejects_constant_x():
+    with pytest.raises(ValueError, match="distinct x"):
+        linear_regression([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_regression_matches_scipy_linregress(seed):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.2, 1.0, 40)
+    cases = [
+        (x, 0.7 * x + rng.normal(0, 0.05, x.size)),
+        (x, -3.0 * x + 2.0),  # exact line: r clips to -1
+        (x, np.full(x.size, 4.0)),  # zero y variance
+    ]
+    for xs, ys in cases:
+        fit = linear_regression(xs, ys)
+        ref = scipy_stats.linregress(xs, ys)
+        assert fit.slope == float(ref.slope)
+        assert fit.intercept == float(ref.intercept)
+        np.testing.assert_equal(fit.r2, float(ref.rvalue) ** 2)
+
+
 def test_empirical_cdf_monotone():
     xs, ps = empirical_cdf([3.0, 1.0, 2.0, 2.0])
     assert xs.tolist() == [1.0, 2.0, 2.0, 3.0]

@@ -1,17 +1,16 @@
-"""Tracing is observational: bit-identity and cross-kernel parity.
+"""Tracing is observational: traced runs are bit-identical to untraced.
 
 The trace subsystem's one hard invariant is that turning it on changes
-*nothing* — no RNG draw, no event reorder, no float — and that both
-event-loop kernels record the *same* streams. Pinned four ways:
+*nothing* — no RNG draw, no event reorder, no float. Pinned three ways:
 
 * traced vs untraced records are bit-identical (start/end/dedicated/
-  makespan/out-of-order), per kernel;
+  makespan/out-of-order) on every golden case, on an in-process core and
+  on a shared-memory attached one;
 * the committed golden matrix replays byte-identically with tracing ON
   (tracing can never change ENGINE_REV semantics);
-* python-loop and array-kernel event streams are identical on every
-  golden case and on a co-scheduled job mix;
-* a traced run against a shared-memory attached core matches the
-  in-process streams (the sharedcore round trip adds nothing).
+* a traced run against a shared-memory attached core records the same
+  event stream as in-process, on every golden case and on a co-scheduled
+  job mix (the sharedcore round trip adds nothing).
 """
 
 from __future__ import annotations
@@ -29,11 +28,17 @@ from ..sim.test_engine_golden import (
     build_cluster,
     layerwise,
     make_config,
+    run_case,
 )
-from ..sim.test_kernel_parity import run_golden_case
 
 CASES = [c["case"] for c in _GOLDEN["cases"]]
 IDS = [c["name"] for c in CASES]
+
+#: Where a case's core lives (the labels are the cases' test ids):
+#: ``python`` is the core compiled in-process; ``portable`` is the same
+#: core published to shared memory and attached, as sweep pool workers
+#: hold it.
+CORES = ["python", "portable"]
 
 
 def _variant(case: dict, **overrides) -> SimVariant:
@@ -42,6 +47,21 @@ def _variant(case: dict, **overrides) -> SimVariant:
     schedule = None if case["schedule"] == "baseline" else layerwise(ir)
     cfg = make_config(case["config"]).with_(**overrides)
     return SimVariant(CompiledCore(cluster, platform), schedule, cfg)
+
+
+def _run_on(where: str, variant: SimVariant, iteration: int = 0):
+    """Run ``variant`` on its in-process core (``python``) or on a
+    shared-memory attached copy of it (``portable``)."""
+    if where == "python":
+        return variant.run_iteration(iteration)
+    handle = sharedcore.publish(variant.core, meta={})
+    try:
+        attached, _ = sharedcore.attach(handle)
+        return SimVariant(attached, variant.schedule, variant.config).run_iteration(
+            iteration
+        )
+    finally:
+        handle.unlink()
 
 
 def _records_identical(a, b) -> bool:
@@ -55,53 +75,70 @@ def _records_identical(a, b) -> bool:
 
 
 # ----------------------------------------------------------------------
-# traced == untraced, per kernel
+# traced == untraced
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kern", ["python", "portable"])
+@pytest.mark.parametrize("where", CORES)
 @pytest.mark.parametrize("case", CASES, ids=IDS)
-def test_tracing_never_changes_results(case, kern):
-    plain = _variant(case, kernel=kern).run_iteration(0)
-    traced = _variant(case, kernel=kern, trace=True).run_iteration(0)
+def test_tracing_never_changes_results(case, where):
+    plain = _run_on(where, _variant(case))
+    traced = _run_on(where, _variant(case, trace=True))
     assert plain.trace is None
     assert traced.trace is not None
+    assert traced.trace.n_chunk_events > 0
     assert _records_identical(plain, traced)
 
 
-@pytest.mark.parametrize("case", CASES[:4], ids=IDS[:4])
+@pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_golden_matrix_replays_traced(case):
     """The golden digests hold with tracing forced on — strongest form
     of 'tracing is observational only'."""
     golden = next(c for c in _GOLDEN["cases"] if c["case"]["name"] == case["name"])
     traced_case = dict(case, config=dict(case["config"], trace=True))
-    assert run_golden_case(traced_case, "portable") == golden["iterations"]
+    assert run_case(traced_case)["iterations"] == golden["iterations"]
 
 
 # ----------------------------------------------------------------------
-# python vs portable event streams
+# in-process vs shared-memory attached event streams
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_kernels_record_identical_streams(case):
-    py = _variant(case, kernel="python", trace=True).run_iteration(0)
-    arr = _variant(case, kernel="portable", trace=True).run_iteration(0)
-    assert py.trace.same_stream(arr.trace)
-    assert py.trace.n_chunk_events == arr.trace.n_chunk_events > 0
+    """The event loop records the same stream whether it runs on the
+    in-process core or on the shared-memory copy pool workers attach."""
+    local = _run_on("python", _variant(case, trace=True))
+    remote = _run_on("portable", _variant(case, trace=True))
+    assert _records_identical(local, remote)
+    assert local.trace.same_stream(remote.trace)
+    assert local.trace.n_chunk_events == remote.trace.n_chunk_events > 0
 
 
 def test_jobmix_cell_streams_agree_across_kernels():
     """A co-scheduled 2-job mix (shared-NIC packed placement) traces
-    identically under both kernels, and the joined Trace carries the
-    job tags."""
-    from repro.obs.capture import trace_cell
+    identically in-process and on the sweep runner's shared-memory core,
+    and the joined Trace carries the job tags."""
     from repro.api.jobmix_scenarios import CONTENTION_MIX
+    from repro.core.schedules import Schedule
+    from repro.obs.capture import trace_cell
+    from repro.obs.trace import Trace
+    from repro.sweep import runner
 
     cell = CONTENTION_MIX.cells(SimConfig(iterations=2, warmup=1))[1]
-    py = trace_cell(cell, kernel="python")
-    arr = trace_cell(cell, kernel="portable")
-    assert py.trace.ready.tolist() == arr.trace.ready.tolist()
-    assert py.trace.depth.tolist() == arr.trace.depth.tolist()
-    assert py.trace.chunk_start.tolist() == arr.trace.chunk_start.tolist()
-    assert py.trace.jobs == ("j0", "j1")
-    assert set(np.unique(py.trace.job)) == {0, 1}
+    local = trace_cell(cell)
+    prepared = runner._prepare_group([cell])
+    try:
+        attached, _ = sharedcore.attach(prepared.handle)
+        schedule = prepared.schedules.get(
+            (cell.algorithm, cell.config.seed), Schedule("baseline")
+        )
+        variant = SimVariant(attached, schedule, cell.config.with_(trace=True))
+        remote = Trace.from_record(variant, variant.run_iteration(local.iteration))
+    finally:
+        prepared.handle.unlink()
+    assert local.trace.ready.tolist() == remote.ready.tolist()
+    assert local.trace.depth.tolist() == remote.depth.tolist()
+    assert local.trace.chunk_start.tolist() == remote.chunk_start.tolist()
+    assert local.trace.jobs == remote.jobs == ("j0", "j1")
+    assert set(np.unique(local.trace.job)) == {0, 1}
+    assert local.trace.job.tolist() == remote.job.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -43,3 +43,11 @@ def test_with_override():
     cfg = SimConfig().with_(enforcement="dag", seed=9)
     assert cfg.enforcement == "dag" and cfg.seed == 9
     assert SimConfig().enforcement == "sender"
+
+
+def test_rejects_unknown_fields():
+    """Removed or misspelt knobs fail loudly instead of being ignored."""
+    with pytest.raises(TypeError, match="kernel"):
+        SimConfig(kernel="python")
+    with pytest.raises(TypeError):
+        SimConfig().with_(enforcment="dag")

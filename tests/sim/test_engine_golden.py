@@ -251,6 +251,14 @@ def test_variants_share_core_without_interference():
     assert _records_equal(got[2], ref_a.run_iteration(1))
 
 
+def test_compiled_simulation_is_gone():
+    """The deprecated one-shot facade was removed; CompiledCore+SimVariant
+    is the only compile path."""
+    import repro.sim as sim_module
+
+    assert not hasattr(sim_module, "CompiledSimulation")
+
+
 def test_simulate_cluster_with_shared_core_matches_oneshot():
     spec = ClusterSpec(2, 1, "training")
     ir = tiny_model()

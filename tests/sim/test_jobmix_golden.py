@@ -6,8 +6,9 @@ device, parameter and link under ``j0/`` and reuses the engine's logical
 (src, dst) channel numbering — so wrapping a single job in a
 :class:`~repro.sim.jobmix.JobMixSpec` must change *nothing*: every
 iteration's makespan, per-worker finish time and efficiency report is
-bit-identical under both event-loop kernels, and the quick-grid CSV rows
-(fig7's PS grid and the allreduce grid) regenerate byte-for-byte.
+bit-identical, and the quick-grid CSV rows
+(fig7's PS grid and the allreduce grid) regenerate byte-for-byte — both
+in-process and through the sweep runner's shared-memory lane.
 """
 
 from __future__ import annotations
@@ -19,9 +20,15 @@ import pytest
 from repro.analysis import write_csv
 from repro.backends import make_spec
 from repro.sim import JobMixSpec, JobSpec, SimConfig, simulate_cluster
-from repro.sweep.serialize import iteration_to_dict
+from repro.sweep import runner
+from repro.sweep.serialize import iteration_to_dict, result_from_dict
+from repro.sweep.spec import SimCell
 
-KERNELS = ("python", "portable")
+#: How each cell is simulated (the labels are the cases' test ids):
+#: ``python`` calls ``simulate_cluster`` in-process; ``portable`` publishes
+#: the group's core to shared memory and runs the cell through the sweep
+#: runner's chunked worker entry, as pool workers do.
+PATHS = ("python", "portable")
 
 #: micro slices of the fig7 (PS) and allreduce quick grids.
 PS_CELLS = [
@@ -35,8 +42,26 @@ AR_CELLS = [
 ]
 
 
-def _cfg(kernel: str) -> SimConfig:
-    return SimConfig(iterations=3, warmup=1, kernel=kernel)
+CFG = SimConfig(iterations=3, warmup=1)
+
+
+def _simulate(model, spec, algorithm, platform, path):
+    if path == "python":
+        return simulate_cluster(
+            model, spec, algorithm=algorithm, platform=platform, config=CFG
+        )
+    cell = SimCell(
+        model=model, spec=spec, algorithm=algorithm, platform=platform, config=CFG
+    )
+    prepared = runner._prepare_group([cell])
+    try:
+        schedule = prepared.schedules.get((algorithm, CFG.seed))
+        _elapsed, (payload,) = runner._run_shared_cells_batched(
+            (prepared.handle, [(schedule, cell)])
+        )
+    finally:
+        prepared.handle.unlink()
+    return result_from_dict(payload)
 
 
 def _mix_of(backend: str, model: str, shape: dict, algorithm: str) -> JobMixSpec:
@@ -54,25 +79,18 @@ def _strip_prefix(data: dict) -> dict:
     return data
 
 
-def _run_pair(backend, model, shape, algorithm, platform, kernel):
-    spec = make_spec(backend, **shape)
-    single = simulate_cluster(
-        model, spec, algorithm=algorithm, platform=platform, config=_cfg(kernel)
-    )
-    mix = simulate_cluster(
-        model,
-        _mix_of(backend, model, shape, algorithm),
-        algorithm=algorithm,
-        platform=platform,
-        config=_cfg(kernel),
+def _run_pair(backend, model, shape, algorithm, platform, path):
+    single = _simulate(model, make_spec(backend, **shape), algorithm, platform, path)
+    mix = _simulate(
+        model, _mix_of(backend, model, shape, algorithm), algorithm, platform, path
     )
     return single, mix
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("model,shape,algorithm", PS_CELLS)
-def test_one_job_mix_is_bit_identical_ps(model, shape, algorithm, kernel):
-    single, mix = _run_pair("ps", model, shape, algorithm, "envG", kernel)
+def test_one_job_mix_is_bit_identical_ps(model, shape, algorithm, path):
+    single, mix = _run_pair("ps", model, shape, algorithm, "envG", path)
     for s_it, m_it in zip(
         single.warmup + single.iterations, mix.warmup + mix.iterations
     ):
@@ -81,18 +99,18 @@ def test_one_job_mix_is_bit_identical_ps(model, shape, algorithm, kernel):
         assert m_it.job_finish == {"j0": m_it.makespan}
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("model,shape,algorithm", AR_CELLS)
-def test_one_job_mix_is_bit_identical_allreduce(model, shape, algorithm, kernel):
-    single, mix = _run_pair("allreduce", model, shape, algorithm, "envG", kernel)
+def test_one_job_mix_is_bit_identical_allreduce(model, shape, algorithm, path):
+    single, mix = _run_pair("allreduce", model, shape, algorithm, "envG", path)
     for s_it, m_it in zip(
         single.warmup + single.iterations, mix.warmup + mix.iterations
     ):
         assert iteration_to_dict(s_it) == _strip_prefix(iteration_to_dict(m_it))
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_quick_grid_csv_rows_regenerate_byte_identical(tmp_path, kernel):
+@pytest.mark.parametrize("path", PATHS)
+def test_quick_grid_csv_rows_regenerate_byte_identical(tmp_path, path):
     """Assemble fig7/allreduce-style CSV rows from both paths and compare
     the written files byte for byte."""
 
@@ -118,15 +136,14 @@ def test_quick_grid_csv_rows_regenerate_byte_identical(tmp_path, kernel):
         return rows
 
     def run_single(backend, model, shape, algorithm, platform):
-        return simulate_cluster(
-            model, make_spec(backend, **shape), algorithm=algorithm,
-            platform=platform, config=_cfg(kernel),
+        return _simulate(
+            model, make_spec(backend, **shape), algorithm, platform, path
         )
 
     def run_mix(backend, model, shape, algorithm, platform):
-        return simulate_cluster(
-            model, _mix_of(backend, model, shape, algorithm),
-            algorithm=algorithm, platform=platform, config=_cfg(kernel),
+        return _simulate(
+            model, _mix_of(backend, model, shape, algorithm), algorithm,
+            platform, path,
         )
 
     single_csv = write_csv(

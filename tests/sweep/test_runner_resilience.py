@@ -58,8 +58,10 @@ class TestPoolCrashRecovery:
 
         with SweepRunner(jobs=2, retry_backoff_s=0.0) as runner:
             pool = runner._get_pool()
-            # spawn the workers now so there is something to kill, then
-            # shoot one shortly after the sweep starts.
+            # The pool spawns workers only once the sweep submits work,
+            # so shoot the first worker as soon as one exists: the kill
+            # then always lands mid-sweep. (A fixed delay races a warm,
+            # fast sweep that can finish before the delay runs out.)
             victims = []
 
             def shoot() -> None:
@@ -70,14 +72,13 @@ class TestPoolCrashRecovery:
                         victims.append(procs[0].pid)
                         os.kill(procs[0].pid, signal.SIGKILL)
                         return
-                    time.sleep(0.01)
+                    time.sleep(0.001)
 
-            killer = threading.Timer(0.05, shoot)
+            killer = threading.Thread(target=shoot, daemon=True)
             killer.start()
-            try:
-                got = runner.run_cells(cells)
-            finally:
-                killer.cancel()
+            got = runner.run_cells(cells)
+            killer.join(timeout=10.0)
+            assert not killer.is_alive()
             assert victims, "test harness never found a worker to kill"
             counters = runner.telemetry.as_dict()
             assert counters.get("pool_rebuilds", 0) >= 1

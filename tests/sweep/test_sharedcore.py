@@ -198,9 +198,9 @@ class TestSharedSweep:
         ]
 
     def test_batched_lane_equals_per_cell_lane(self):
-        """ISSUE 8: the variant-batched phase-B lane (chunks of a
-        group's cells per worker task) is bit-identical to one task per
-        cell, and telemetry shows which lane ran."""
+        """The batched phase-B lane (chunks of a group's cells per
+        worker task) is bit-identical to one task per cell, and
+        telemetry shows which lane ran."""
         cells = grid_cells()
         with SweepRunner(jobs=2, batch_cells=False) as per_cell:
             dispatched = per_cell.run_cells(cells)
