@@ -31,7 +31,7 @@ Workloads (chosen to cover both engine regimes):
   amortized batch API end to end (per-second number is per iteration).
 * ``jobmix_packed`` — one iteration of a two-job AlexNet mix (the second
   job arriving mid-flight) packed onto shared hosts on envC: the
-  multi-job union path — deferred root releases, shared-NIC channel
+  multi-job mix path — deferred root releases, shared-NIC channel
   contention, per-job completion accounting.
 
 ``trace-overhead`` times every workload twice — ``SimConfig(trace=False)``
@@ -54,9 +54,17 @@ records them under the ``pr8`` block:
   per worker task) against one task per cell (per-second numbers are
   per cell-iteration).
 
-``check`` gates the committed pr8 stage entry alongside pr4; the sweep
-stages gate at a widened tolerance (pool scheduling noise) while the
-engine stage uses the standard one.
+``compose`` measures the job-mix composition stage and ``--update
+compose`` records it under the ``compose`` block:
+
+* ``jobmix_compose`` — ``CompiledCore(build_jobmix_graph(None, spec),
+  envC)`` on a warm 5-job packed mix (3 AlexNet v2 + 2 Inception v1 PS
+  jobs): the per-composition cost of a cluster replay, i.e. the mix's
+  cluster surface plus a core composed from memoized per-shape cores.
+
+``check`` gates the committed pr8 and compose stage entries alongside
+pr4; the sweep stages gate at a widened tolerance (pool scheduling
+noise) while the engine and compose stages use the standard one.
 """
 
 from __future__ import annotations
@@ -119,6 +127,31 @@ def build_workloads(trace: bool = False):
     }
 
 
+def build_compose_workloads():
+    """The compose stage (see module docstring)."""
+    from repro.sim import CompiledCore, JobMixSpec, JobSpec, build_jobmix_graph
+    from repro.timing import get_platform
+
+    spec = JobMixSpec(
+        jobs=tuple(
+            JobSpec(model, n_workers=2, n_ps=1, algorithm="tic",
+                    arrival=0.5 * i)
+            for i, model in enumerate(
+                ("AlexNet v2", "Inception v1", "AlexNet v2", "Inception v1",
+                 "AlexNet v2")
+            )
+        ),
+        placement="packed",
+        n_hosts=8,
+    )
+    env_c = get_platform("envC")
+    return {
+        "jobmix_compose": (
+            lambda: CompiledCore(build_jobmix_graph(None, spec), env_c), 1
+        ),
+    }
+
+
 def build_pr8_workloads():
     """The pr8 stages (see module docstring). Returns ``(workloads,
     runner)`` — the caller must ``runner.close()``."""
@@ -176,11 +209,7 @@ def measure_pr8(repeats: int = 5) -> tuple[dict, dict]:
     ratio of the sweep stages)."""
     workloads, runner = build_pr8_workloads()
     try:
-        results = {}
-        for name, (fn, per_call) in workloads.items():
-            fn()  # warm
-            best = min(_time_once(fn) for _ in range(repeats))
-            results[name] = best / per_call
+        results = measure_stage(workloads, repeats)
     finally:
         runner.close()
     ratios = {
@@ -218,15 +247,20 @@ def _calibration_kernel() -> float:
 
 def measure(repeats: int = 5, trace: bool = False) -> tuple[dict, float]:
     """(seconds-per-iteration per workload, calibration seconds)."""
-    workloads = build_workloads(trace)
-    results = {}
-    for name, (fn, per_call) in workloads.items():
-        fn()  # warm caches (allocator, first-touch numpy paths)
-        best = min(_time_once(fn) for _ in range(repeats))
-        results[name] = best / per_call
+    results = measure_stage(build_workloads(trace), repeats)
     _calibration_kernel()
     calibration = min(_time_once(_calibration_kernel) for _ in range(repeats))
     return results, calibration
+
+
+def measure_stage(workloads, repeats: int = 5) -> dict:
+    """Seconds per call unit of each workload: the best of ``repeats``
+    warm timings."""
+    results = {}
+    for name, (fn, per_call) in workloads.items():
+        fn()  # warm caches (allocator, first-touch numpy paths)
+        results[name] = min(_time_once(fn) for _ in range(repeats)) / per_call
+    return results
 
 
 def _time_once(fn) -> float:
@@ -252,22 +286,31 @@ def _gate_baseline(bench: dict) -> tuple[dict, float, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("command",
-                        choices=["measure", "check", "trace-overhead", "pr8"])
+                        choices=["measure", "check", "trace-overhead", "pr8",
+                                 "compose"])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional slowdown vs baseline (check)")
     parser.add_argument("--update",
-                        choices=["before", "after", "pr4", "pr7", "pr8"],
+                        choices=["before", "after", "pr4", "pr7", "pr8",
+                                 "compose"],
                         help="write measurements into BENCH_engine.json "
                         "(pr7 records the trace-overhead stage, pr8 the "
-                        "shared-core dispatch stages)")
+                        "shared-core dispatch stages, compose the job-mix "
+                        "composition stage)")
     args = parser.parse_args(argv)
     if args.update == "pr8" and args.command != "pr8":
         parser.error("--update pr8 belongs to the 'pr8' command")
+    if args.update == "compose" and args.command != "compose":
+        parser.error("--update compose belongs to the 'compose' command")
     if args.command == "pr8":
         if args.update not in (None, "pr8"):
             parser.error("the 'pr8' command only accepts --update pr8")
         return pr8_stage(args)
+    if args.command == "compose":
+        if args.update not in (None, "compose"):
+            parser.error("the 'compose' command only accepts --update compose")
+        return compose_stage(args)
     if args.command == "trace-overhead":
         return trace_overhead(args)
 
@@ -337,6 +380,23 @@ def main(argv=None) -> int:
                       f"tol {tol:.0%}) {status}")
                 if bad:
                     failures.append(name)
+        compose_entry = (bench.get("compose") or {}).get(STAGE_KEY)
+        if compose_entry and compose_entry.get("workloads"):
+            c_results = measure_stage(build_compose_workloads(), args.repeats)
+            cal_c = compose_entry.get("calibration")
+            scale_c = calibration / cal_c if cal_c else 1.0
+            print("compose stage (job-mix core composition):")
+            for name, sec in c_results.items():
+                ref = compose_entry["workloads"].get(name)
+                if ref is None:
+                    continue
+                slowdown = sec / (ref * scale_c) - 1.0
+                bad = slowdown > args.tolerance
+                status = "FAIL" if bad else "ok"
+                print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
+                      f"{ref*scale_c*1e3:.1f} ms ({slowdown:+.0%}) {status}")
+                if bad:
+                    failures.append(name)
         if failures:
             print(f"REGRESSION: {', '.join(failures)} exceeded "
                   f"{args.tolerance:.0%} over the committed baseline",
@@ -370,6 +430,31 @@ def pr8_stage(args) -> int:
             json.dump(bench, fh, indent=1)
             fh.write("\n")
         print(f"updated 'pr8' in {BASELINE_PATH}")
+    return 0
+
+
+def compose_stage(args) -> int:
+    """Measure the job-mix composition stage and optionally record it
+    (``--update compose``) in the ``compose`` block."""
+    results = measure_stage(build_compose_workloads(), args.repeats)
+    _calibration_kernel()
+    calibration = min(_time_once(_calibration_kernel)
+                      for _ in range(args.repeats))
+    print(json.dumps(
+        {**{k: round(v, 6) for k, v in results.items()},
+         "calibration": round(calibration, 6)},
+        indent=1,
+    ))
+    if args.update == "compose":
+        bench = load_baseline()
+        bench.setdefault("compose", {})[STAGE_KEY] = {
+            "workloads": {k: round(v, 6) for k, v in results.items()},
+            "calibration": round(calibration, 6),
+        }
+        with open(BASELINE_PATH, "w") as fh:
+            json.dump(bench, fh, indent=1)
+            fh.write("\n")
+        print(f"updated 'compose' in {BASELINE_PATH}")
     return 0
 
 

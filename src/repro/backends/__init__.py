@@ -2,9 +2,9 @@
 
 Three backends ship: the parameter-server architecture
 (:class:`~repro.ps.cluster.ClusterSpec`), the collective all-reduce
-architecture (:class:`~repro.collectives.CollectiveSpec`), and the
-multi-job co-scheduling union (:class:`~repro.sim.jobmix.JobMixSpec`),
-which composes the other two under per-job namespaces. A spec object
+architecture (:class:`~repro.collectives.CollectiveSpec`), and
+multi-job co-scheduling (:class:`~repro.sim.jobmix.JobMixSpec`), which
+composes the other two under per-job namespaces. A spec object
 fully names a cluster shape; this module dispatches on its *type* so the
 simulation entry points (:mod:`repro.sim.runner`), the sweep runner and
 the experiment drivers stay backend-agnostic. Third-party backends
@@ -232,10 +232,12 @@ def build_comm_graph(ir, spec, **kwargs):
     cluster shape swept across platforms — share one assembled graph.
     The returned graph must be treated as read-only; pass builder kwargs
     (or call the backend's ``build_graph`` directly) to get a private,
-    mutable instance.
+    mutable instance. Job mixes are built on every call: a mix is a cheap
+    view over its jobs' memoized graphs, and memoizing every mix would
+    evict the very graphs it is built from.
     """
     backend = backend_for_spec(spec)
-    if kwargs:
+    if kwargs or backend.name == "jobmix":
         return backend.build_graph(ir, spec, **kwargs)
     key = (ir.structural_fingerprint(), spec)
     graph = _graph_memo.get(key)

@@ -108,47 +108,6 @@ class Graph:
             mapping[op.op_id] = new.op_id
         return mapping
 
-    def splice(
-        self,
-        other: "Graph",
-        rebuild: Callable[[Op, int], Op],
-    ) -> dict[int, int]:
-        """Graft a fully assembled graph into this one, verbatim.
-
-        Unlike :meth:`merge` — which re-adds ops through :meth:`add_op`
-        and therefore cannot carry edges created by :meth:`add_edge` that
-        point from a later op to an earlier one — ``splice`` copies the
-        complete pred/succ structure with ids offset, preserving relative
-        op-id order exactly. This is the job-mix union primitive: each
-        job's cluster DAG (including its PS send-activation back-edges)
-        is spliced in under a namespace prefix.
-
-        ``rebuild(op, new_id)`` returns the :class:`~repro.graph.op.Op`
-        to insert for ``other``'s ``op`` — it must carry ``op_id ==
-        new_id`` and a name unique in this graph (typically the original
-        fields with names/devices/resources rewritten). Acyclicity is
-        preserved structurally: ``other`` is a DAG and no cross-graph
-        edges are introduced. Returns the old-id -> new-id mapping.
-        """
-        offset = len(self._ops)
-        mapping: dict[int, int] = {}
-        for op in other._ops:
-            new_id = offset + op.op_id
-            new_op = rebuild(op, new_id)
-            if new_op.op_id != new_id:
-                raise GraphError(
-                    f"splice rebuild returned op_id {new_op.op_id}, "
-                    f"expected {new_id}"
-                )
-            if new_op.name in self._by_name:
-                raise GraphError(f"duplicate op name: {new_op.name!r}")
-            self._ops.append(new_op)
-            self._by_name[new_op.name] = new_id
-            self._preds.append([p + offset for p in other._preds[op.op_id]])
-            self._succs.append([s + offset for s in other._succs[op.op_id]])
-            mapping[op.op_id] = new_id
-        return mapping
-
     def add_edge(self, src: OpRef, dst: OpRef) -> None:
         """Add a dependency edge between two existing ops.
 

@@ -2,7 +2,7 @@
 
 The jobmix layer (:mod:`repro.sim.jobmix`) compiles a *fixed* set of
 jobs with arrival offsets known at compile time. A day-long trace breaks
-that model twice over: thousands of jobs cannot share one union DAG, and
+that model twice over: thousands of jobs cannot share one mix core, and
 admission decisions (who runs when slots free up) depend on simulated
 history. This engine chains the two worlds:
 

@@ -178,11 +178,15 @@ def _find_activation(g, transfer_op_id: int) -> Optional[int]:
 class CompiledCore:
     """``(cluster, platform)`` lowered to immutable flat arrays.
 
-    ``cluster`` is either a PS :class:`~repro.ps.cluster.ClusterGraph` or a
-    collective :class:`~repro.collectives.CollectiveGraph` — the engine
-    only consumes their shared surface (``graph``, ``transfers_by_link``,
+    ``cluster`` is a PS :class:`~repro.ps.cluster.ClusterGraph`, a
+    collective :class:`~repro.collectives.CollectiveGraph` or a job mix's
+    :class:`~repro.sim.jobmix.JobMixGraph`. Single-job clusters are
+    compiled from their shared surface (``graph``, ``transfers_by_link``,
     ``worker_ops``) plus, for collective graphs, the chunk metadata that
-    lowers schedule priorities onto chunk transfer ops.
+    lowers schedule priorities onto chunk transfer ops. A cluster with a
+    ``compose_core`` method — a job mix — fills the core itself, from its
+    jobs' per-shape cores (see
+    :meth:`~repro.sim.jobmix.JobMixGraph.compose_core`).
 
     Everything here is independent of :class:`Schedule` and
     :class:`SimConfig`; bind those with :class:`SimVariant`. The arrays are
@@ -191,8 +195,78 @@ class CompiledCore:
     """
 
     def __init__(self, cluster: ClusterGraph, platform: Platform) -> None:
+        self._lower(cluster, platform)
+        self._build_mirrors()
+
+    @classmethod
+    def lowered(cls, cluster: ClusterGraph, platform: Platform) -> "CompiledCore":
+        """The core's arrays without the event loop's python mirrors: what
+        a job mix composes its core from. Not runnable by itself."""
+        core = cls.__new__(cls)
+        core._lower(cluster, platform)
+        return core
+
+    def _lower(self, cluster: ClusterGraph, platform: Platform) -> None:
         self.cluster = cluster
         self.platform = platform
+        self._res_index: dict[str, int] = {}
+        compose = getattr(cluster, "compose_core", None)
+        if compose is not None:
+            # a job mix composes its core, job tags included
+            chan_sizes = compose(self)
+        else:
+            chan_sizes = self._compile(cluster)
+            # one job: no job tags, every root releases at t=0 through
+            # the original init path, no per-job fault plans.
+            self.jobs = ()
+            self.job_of = np.full(self.n, -1, dtype=np.int32)
+            self.root_times = np.zeros(len(self.roots))
+            self.job_faults = None
+        self.n_res = len(self._res_index)
+        self.n_wire_channels = len(chan_sizes)
+
+        # --- NIC round-robin order --------------------------------------
+        # ``egress_ids``/``eg_chan_lists`` preserve the reference round-
+        # robin orders: egress NICs by first channel, channels within an
+        # egress ascending (channels are numbered by first transfer).
+        self.egress_ids: list[int] = []
+        self.eg_chan_lists: list[list[int]] = []
+        #: resource id -> position in ``egress_ids`` (-1 for non-egress).
+        self.eg_pos = [-1] * self.n_res
+        for c, eid in enumerate(self.chan_eid):
+            pos = self.eg_pos[eid]
+            if pos < 0:
+                pos = self.eg_pos[eid] = len(self.egress_ids)
+                self.egress_ids.append(eid)
+                self.eg_chan_lists.append([])
+            self.eg_chan_lists[pos].append(c)
+        #: flat per-channel queue layout: channel c owns slots
+        #: [q_base[c], q_base[c+1]) of a shared buffer (CSR over channels).
+        self.q_base = [0] * (self.n_wire_channels + 1)
+        for c, size in enumerate(chan_sizes):
+            self.q_base[c + 1] = self.q_base[c] + size
+        self.q_slots = self.q_base[-1]
+
+        #: concurrent-capacity per resource: compute engines run one op at
+        #: a time; a NIC sustains platform.nic_slots(device) full-rate
+        #: connections (PS NICs are fatter than worker NICs in envG).
+        self.capacity = np.ones(self.n_res, dtype=np.int64)
+        for name, rid in self._res_index.items():
+            if name.startswith(("nic_out:", "nic_in:")):
+                device = name.split(":", 1)[1]
+                self.capacity[rid] = platform.nic_slots(device)
+
+        # --- resource_loads index arrays ---------------------------------
+        self.tr_ids = np.flatnonzero(self.is_transfer)
+        self.tr_eg = self.t_egress[self.tr_ids]
+        self.tr_in = self.t_ingress[self.tr_ids]
+        self.comp_ids = np.flatnonzero(~self.is_transfer)
+        self.comp_res = self.op_res[self.comp_ids]
+
+    def _compile(self, cluster: ClusterGraph) -> list[int]:
+        """Lower a single-job cluster DAG; returns the per-channel
+        transfer counts."""
+        platform = self.platform
         g = cluster.graph
         n = self.n = len(g)
 
@@ -208,13 +282,7 @@ class CompiledCore:
         )
 
         # --- resources --------------------------------------------------
-        # ``host_map`` (job-mix placements) maps logical device names onto
-        # shared physical hosts: co-located jobs then share NIC resources
-        # (and their capacity) while each logical (src, dst) device pair
-        # keeps its own wire channel — separate TCP connections round-
-        # robining on one shared NIC. Empty/missing map = dedicated hosts.
-        host_map: dict[str, str] = getattr(cluster, "host_map", None) or {}
-        self._res_index: dict[str, int] = {}
+        # Ids are numbered by first use in op-id order.
         self.is_transfer = np.zeros(n, dtype=bool)
         self.op_res = np.full(n, -1, dtype=np.int64)  # compute ops
         self.t_egress = np.full(n, -1, dtype=np.int64)
@@ -231,19 +299,14 @@ class CompiledCore:
                 src, dst = op.resource.name[len("link:"):].split("->")
                 tr_pair[op.op_id] = (src, dst)
                 self.is_transfer[op.op_id] = True
-                self.t_egress[op.op_id] = self._rid(
-                    f"nic_out:{host_map.get(src, src)}"
-                )
-                self.t_ingress[op.op_id] = self._rid(
-                    f"nic_in:{host_map.get(dst, dst)}"
-                )
+                self.t_egress[op.op_id] = self._rid(f"nic_out:{src}")
+                self.t_ingress[op.op_id] = self._rid(f"nic_in:{dst}")
                 self.wire_base[op.op_id] = op.cost / platform.bandwidth_bps
                 self.lat[op.op_id] = platform.rpc_latency_s
             else:
                 self.op_res[op.op_id] = self._rid(op.resource.name)
                 self.base_dur[op.op_id] = platform.op_time(op)
                 device_ops.setdefault(op.device, []).append(op.op_id)
-        self.n_res = len(self._res_index)
         #: compute op ids per device (slowdown lowering; transfers excluded).
         self.device_compute_ops = {
             dev: np.array(ids, dtype=np.int64) for dev, ids in device_ops.items()
@@ -251,83 +314,42 @@ class CompiledCore:
 
         # --- wire channels ----------------------------------------------
         # One integer channel id per directional *logical* (src, dst)
-        # device pair, numbered by first appearance in op-id order. With
-        # dedicated hosts the logical pair and the (egress, ingress) NIC
-        # pair are in bijection, so the numbering is identical to the
-        # reference engine's NIC-pair keying; under a shared-host
-        # placement, co-located jobs keep distinct channels (distinct TCP
-        # connections) on the shared NICs. ``egress_ids``/``eg_chan_lists``
-        # preserve the reference round-robin orders: egress NICs by first
-        # transfer, channels within an egress by first transfer on that
-        # pair.
+        # device pair, numbered by first appearance in op-id order — in
+        # bijection with the (egress, ingress) NIC pairs, so the numbering
+        # is identical to the reference engine's NIC-pair keying.
         chan_index: dict[tuple[str, str], int] = {}
         self.t_chan = np.full(n, -1, dtype=np.int64)
-        chan_eid: list[int] = []
-        chan_iid: list[int] = []
-        chan_devices: list[tuple[str, str]] = []
-        self.egress_ids: list[int] = []
-        self.eg_chan_lists: list[list[int]] = []
-        eg_pos: dict[int, int] = {}
+        self.chan_eid: list[int] = []
+        self.chan_iid: list[int] = []
+        #: logical (src, dst) device pair per channel id — the fault
+        #: layer's link universe (see :mod:`repro.faults.compile`).
+        self.chan_devices: list[tuple[str, str]] = []
         chan_sizes: list[int] = []
         for op_id in np.flatnonzero(self.is_transfer):
             op_id = int(op_id)
-            eid, iid = int(self.t_egress[op_id]), int(self.t_ingress[op_id])
             key = tr_pair[op_id]
             c = chan_index.get(key)
             if c is None:
                 c = chan_index[key] = len(chan_index)
-                chan_eid.append(eid)
-                chan_iid.append(iid)
-                chan_devices.append(key)
+                self.chan_eid.append(int(self.t_egress[op_id]))
+                self.chan_iid.append(int(self.t_ingress[op_id]))
+                self.chan_devices.append(key)
                 chan_sizes.append(0)
-                pos = eg_pos.get(eid)
-                if pos is None:
-                    pos = eg_pos[eid] = len(self.egress_ids)
-                    self.egress_ids.append(eid)
-                    self.eg_chan_lists.append([])
-                self.eg_chan_lists[pos].append(c)
             self.t_chan[op_id] = c
             chan_sizes[c] += 1
-        self.n_wire_channels = len(chan_index)
-        self.chan_eid = chan_eid
-        self.chan_iid = chan_iid
-        #: logical (src, dst) device pair per channel id — the fault
-        #: layer's link universe (see :mod:`repro.faults.compile`).
-        self.chan_devices = chan_devices
-        #: resource id -> position in ``egress_ids`` (-1 for non-egress).
-        self.eg_pos = [-1] * self.n_res
-        for eid, pos in eg_pos.items():
-            self.eg_pos[eid] = pos
-        #: flat per-channel queue layout: channel c owns slots
-        #: [q_base[c], q_base[c+1]) of a shared buffer (CSR over channels).
-        self.q_base = [0] * (self.n_wire_channels + 1)
-        for c, size in enumerate(chan_sizes):
-            self.q_base[c + 1] = self.q_base[c] + size
-        self.q_slots = self.q_base[-1]
 
         #: collective chunk transfers (reduce-scatter/all-gather steps);
         #: gated by priority rank at the channel queue, not by §5.1
         #: sender counters (there is no PS-side hand-off op to gate).
         self.is_chunk = np.zeros(n, dtype=bool)
-        chunk_op_ids: list[int] = []
-        chunk_param_names: list[str] = []
+        self.chunk_op_ids: list[int] = []
+        self.chunk_param_names: list[str] = []
         for transfers in cluster.transfers_by_link.values():
             for t in transfers:
                 if t.kind == "chunk":
                     self.is_chunk[t.op_id] = True
-                    chunk_op_ids.append(t.op_id)
-                    chunk_param_names.append(t.param)
-        self.chunk_op_ids = chunk_op_ids
-        self.chunk_param_names = chunk_param_names
-
-        #: concurrent-capacity per resource: compute engines run one op at
-        #: a time; a NIC sustains platform.nic_slots(device) full-rate
-        #: connections (PS NICs are fatter than worker NICs in envG).
-        self.capacity = np.ones(self.n_res, dtype=np.int64)
-        for name, rid in self._res_index.items():
-            if name.startswith(("nic_out:", "nic_in:")):
-                device = name.split(":", 1)[1]
-                self.capacity[rid] = platform.nic_slots(device)
+                    self.chunk_op_ids.append(t.op_id)
+                    self.chunk_param_names.append(t.param)
 
         # --- §5.1 counter-channel structure -----------------------------
         # One counter per (link, iteration) parameter group, in (sorted
@@ -354,51 +376,8 @@ class CompiledCore:
                 )
 
         # --- root ops (in-degree zero, ascending op id) ------------------
-        self.roots = [int(i) for i in np.flatnonzero(self.base_indeg == 0)]
-
-        # --- job tags + arrival offsets (multi-job mixes) -----------------
-        # ``job_ops``/``job_arrivals`` are optional cluster surfaces (set
-        # by the job-mix builder): op ids per job label, and each job's
-        # arrival offset in seconds. Single-job clusters leave them empty:
-        # every root then releases at t=0 through the original init path.
-        job_ops: dict = getattr(cluster, "job_ops", None) or {}
-        job_arrivals: dict = getattr(cluster, "job_arrivals", None) or {}
-        self.jobs = tuple(job_ops)
-        self.job_of = np.full(n, -1, dtype=np.int32)
-        for j, ids in enumerate(job_ops.values()):
-            self.job_of[np.asarray(list(ids), dtype=np.int64)] = j
-        arrival_of = np.zeros(n)
-        for label, t0 in job_arrivals.items():
-            if t0:
-                ids = np.asarray(list(job_ops[label]), dtype=np.int64)
-                arrival_of[ids] = float(t0)
-        #: release time per root (parallel to ``roots``; zeros = legacy).
-        self.root_times = arrival_of[np.asarray(self.roots, dtype=np.int64)] \
-            if self.roots else np.zeros(0)
-
-        # --- per-job fault scoping (ISSUE 9) ------------------------------
-        # A job-mix spec may attach a FaultPlan per job; scope each into
-        # the job's ``j<i>/`` namespace at compile time. Variants merge
-        # this with SimConfig.faults when compiling fault windows.
-        self.job_faults = None
-        spec = getattr(cluster, "spec", None)
-        for i, job in enumerate(getattr(spec, "jobs", ()) or ()):
-            jp = getattr(job, "faults", None)
-            if jp is not None and jp.events:
-                scoped = jp.scoped(f"j{i}/")
-                self.job_faults = (
-                    scoped if self.job_faults is None
-                    else self.job_faults + scoped
-                )
-
-        # --- resource_loads index arrays ---------------------------------
-        self.tr_ids = np.flatnonzero(self.is_transfer)
-        self.tr_eg = self.t_egress[self.tr_ids]
-        self.tr_in = self.t_ingress[self.tr_ids]
-        self.comp_ids = np.flatnonzero(~self.is_transfer)
-        self.comp_res = self.op_res[self.comp_ids]
-
-        self._build_mirrors()
+        self.roots = np.flatnonzero(self.base_indeg == 0).tolist()
+        return chan_sizes
 
     @classmethod
     def from_arrays(cls, arrays: dict, state: dict) -> "CompiledCore":
@@ -425,16 +404,12 @@ class CompiledCore:
         # --- python-native mirrors for the event loop --------------------
         # Scalar indexing of numpy arrays costs ~10x a list index in the
         # interpreter; the hot loop reads these instead.
-        n = self.n
         self.base_indeg_list = self.base_indeg.tolist()
-        self.succ_indptr_list = self.succ_indptr.tolist()
-        self.succ_indices_list = self.succ_indices.tolist()
         #: per-op successor id lists (CSR unpacked once: the succ walk is
         #: the single most-executed statement of the event loop).
-        self.succ_of = [
-            self.succ_indices_list[self.succ_indptr_list[i]:self.succ_indptr_list[i + 1]]
-            for i in range(n)
-        ]
+        ptr = self.succ_indptr.tolist()
+        succ = self.succ_indices.tolist()
+        self.succ_of = [succ[a:b] for a, b in zip(ptr, ptr[1:])]
         self.is_transfer_list = self.is_transfer.tolist()
         self.is_chunk_list = self.is_chunk.tolist()
         self.op_res_list = self.op_res.tolist()

@@ -14,17 +14,24 @@ touching the engine's semantics for single jobs:
   :func:`repro.sim.runner.simulate_cluster`, the sweep cache and the
   shared-core publication all consume it through the backend registry.
 
-**The union compile path.** :func:`build_jobmix_graph` builds each job's
-cluster DAG through the (memoized) backend builders, then splices them
-into one graph under per-job namespaces ``j0/``, ``j1/``, ...: op names,
-devices, parameters, chunk names and link resources are all prefixed, so
-the union is a concatenation — op ids of job *i* are the original ids
-plus an offset, and the engine's channel numbering (keyed on logical
-(src, dst) device pairs) reproduces each job's private channels exactly.
-The placement's ``host_map`` is the only coupling between jobs: devices
-sharing a host share NIC resources in the compiled core. A 1-job mix on
-the ``dedicated`` placement is **byte-identical** to the plain single-job
-path (pinned by ``tests/sim/test_jobmix_golden.py``).
+**Composed cores.** :func:`build_jobmix_graph` builds each job's
+cluster DAG through the (memoized) backend builders and returns a
+graph-less :class:`JobMixGraph`: the per-job clusters, the placement's
+``host_map`` and the post-compile surface (worker ops, chunk metadata,
+job ops, arrivals) under per-job namespaces ``j0/``, ``j1/``, ... Job
+*i*'s op ids are its cluster's ids plus the op count of the jobs before
+it. Job shapes (model x backend spec) are memoized with their cluster
+DAG and their per-platform cores, so each shape is built and lowered
+once. :class:`~repro.sim.engine.CompiledCore` hands a mix to
+:meth:`JobMixGraph.compose_core`, which concatenates the per-shape
+cores: op ids, successors and channels are offset per job, and NIC
+resources are renamed through ``host_map`` — the placement is the only
+coupling between jobs (devices sharing a host share NIC resources,
+while every logical (src, dst) device pair keeps its own wire channel).
+:attr:`JobMixGraph.graph` is a lazy namespaced view of the per-job DAGs
+for consumers that want op names (traces, timelines). A 1-job mix on
+the ``dedicated`` placement is **byte-identical** to the plain
+single-job path (pinned by ``tests/sim/test_jobmix_golden.py``).
 
 **Priority namespaces.** :func:`prepare_jobmix_schedule` runs the
 ordering wizard per job (memoized, per-job reference projections) and
@@ -42,12 +49,16 @@ job builds at its model's native batch size.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Iterator
+
+import numpy as np
 
 from ..core.schedules import Schedule
-from ..graph import Graph, Op, Resource, ResourceKind
+from ..graph import Op, Resource, ResourceKind
 from ..graph.dag import GraphError
-from ..ps.cluster import Transfer
 
 #: workload label reported for mixed-job results.
 MIX_WORKLOAD = "mix"
@@ -164,14 +175,124 @@ class JobMixSpec:
         )
 
 
+def _namespaced_op(op: Op, op_id: int, prefix: str) -> Op:
+    """``op`` renamed into a job namespace: its name, parameter, device
+    and resource carry ``prefix``; ``op_id`` is its id in the mix."""
+    res = op.resource
+    if res is None:
+        raise GraphError(f"op {op.name!r} has no resource tag")
+    if res.kind is ResourceKind.LINK:
+        src, dst = res.name[len("link:"):].split("->")
+        res = Resource.link(prefix + src, prefix + dst)
+    else:
+        res = Resource.compute(prefix + res.name[len("compute:"):])
+    return Op(
+        op_id=op_id,
+        name=prefix + op.name,
+        kind=op.kind,
+        resource=res,
+        cost=op.cost,
+        param=prefix + op.param if op.param else None,
+        device=prefix + op.device if op.device else None,
+        attrs=dict(op.attrs),
+    )
+
+
+class MixGraphView:
+    """Read-only op view of a mix: job *i*'s ops are its cluster's ops,
+    ids offset by the ops of the jobs before it and names in the
+    ``j<i>/`` namespace. Ops are built on access; nothing is stored."""
+
+    def __init__(self, graphs) -> None:
+        self._graphs = list(graphs)
+        self._starts = [0]
+        for g in self._graphs:
+            self._starts.append(self._starts[-1] + len(g))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def op(self, op_id: int) -> Op:
+        if not 0 <= op_id < len(self):
+            raise IndexError(f"op id {op_id} out of range for {len(self)} ops")
+        j = bisect_right(self._starts, op_id) - 1
+        start = self._starts[j]
+        return _namespaced_op(
+            self._graphs[j].op(op_id - start), op_id, job_label(j) + "/"
+        )
+
+    def __iter__(self) -> Iterator[Op]:
+        for j, g in enumerate(self._graphs):
+            start, prefix = self._starts[j], job_label(j) + "/"
+            for op in g:
+                yield _namespaced_op(op, start + op.op_id, prefix)
+
+
+class JobShape:
+    """One job shape — a model and a backend spec: its cluster DAG and,
+    per platform, the core that mix cores are composed from."""
+
+    def __init__(self, cluster) -> None:
+        self.cluster = cluster
+        self._cores: dict = {}
+
+    def core(self, platform):
+        """The shape's core on ``platform``, lowered once (without the
+        event loop's mirrors: a mix core only reads its arrays)."""
+        core = self._cores.get(platform)
+        if core is None:
+            from .engine import CompiledCore
+
+            core = self._cores[platform] = CompiledCore.lowered(
+                self.cluster, platform
+            )
+        return core
+
+
+#: Most job shapes kept (least recently used evicted first). A replay
+#: cycles through every shape of its trace: ``models x worker counts``
+#: for a synthetic trace (2 for ``cluster_day``), and up to
+#: ``len(DEFAULT_MODEL_MIX) x workers_cap`` = 3 x 8 = 24 for a loaded
+#: one (:func:`repro.replay.loader.load_alibaba_csv`). The largest of
+#: those, Inception v1 with 8 workers + 1 PS, holds about 12 MB of
+#: graph and 2 MB of lowered core per platform.
+_SHAPE_CAP = 32
+
+_shapes: dict[tuple, JobShape] = {}
+
+
+def job_shape(model: str, jspec) -> JobShape:
+    """The memoized shape of a job running ``model`` on backend spec
+    ``jspec``, keyed by the model's structural fingerprint."""
+    from ..backends import build_comm_graph
+    from ..models import build_model
+
+    ir = build_model(model)
+    key = (ir.structural_fingerprint(), jspec)
+    shape = _shapes.pop(key, None)
+    if shape is None:
+        shape = JobShape(build_comm_graph(ir, jspec))
+        while len(_shapes) >= _SHAPE_CAP:
+            _shapes.pop(next(iter(_shapes)))
+    _shapes[key] = shape
+    return shape
+
+
+def clear_shape_memo() -> None:
+    """Drop all memoized job shapes (tests)."""
+    _shapes.clear()
+
+
 @dataclass
 class JobMixGraph:
-    """The union cluster DAG of a mix (the engine's cluster surface)."""
+    """A mix's cluster surface: the per-job shapes plus the namespaced
+    post-compile surface. There is no union DAG — :meth:`compose_core`
+    builds the mix core from per-shape cores, and :attr:`graph` is a
+    lazy view for op names."""
 
     spec: JobMixSpec
-    graph: Graph
-    #: every transfer, grouped by the (prefixed) link resource.
-    transfers_by_link: dict[Resource, list[Transfer]] = field(default_factory=dict)
+    #: per-job shapes (memoized, shared across mixes: read-only).
+    shapes: list[JobShape] = field(default_factory=list)
     #: op ids per (prefixed) worker device.
     worker_ops: dict[str, list[int]] = field(default_factory=dict)
     #: collective chunk metadata, prefixed (schedule lowering seam).
@@ -185,81 +306,155 @@ class JobMixGraph:
     host_map: dict[str, str] = field(default_factory=dict)
     n_iterations: int = 1
 
-    @property
-    def param_transfers(self) -> list[Transfer]:
-        return [
-            t
-            for transfers in self.transfers_by_link.values()
-            for t in transfers
-            if t.kind == "param"
-        ]
+    @cached_property
+    def graph(self) -> MixGraphView:
+        return MixGraphView(s.cluster.graph for s in self.shapes)
 
+    def compose_core(self, core) -> list[int]:
+        """Fill ``core`` (a :class:`~repro.sim.engine.CompiledCore` under
+        construction) by concatenating the jobs' per-shape cores; returns
+        the per-channel transfer counts.
 
-def _prefixed_resource(res: Resource, prefix: str) -> Resource:
-    if res.kind is ResourceKind.LINK:
-        src, dst = res.name[len("link:"):].split("->")
-        return Resource.link(prefix + src, prefix + dst)
-    return Resource.compute(prefix + res.name[len("compute:"):])
+        Job *j*'s ops, successors, channels, chunk ops and roots are its
+        shape core's, offset by the jobs before it; names enter the
+        ``j<j>/`` namespace. Resources are renumbered by first use, job
+        by job, and NIC resources are renamed through ``host_map``:
+        co-located jobs then share NIC resources (and their capacity)
+        while each logical (src, dst) device pair keeps its own wire
+        channel — separate TCP connections round-robining on one NIC.
+        The result is array for array the core of the jobs' DAGs
+        compiled as one union DAG.
+        """
+        parts = [s.core(core.platform) for s in self.shapes]
+        op_res, t_egress, t_ingress, t_chan = [], [], [], []
+        succ_indptr = [np.zeros(1, dtype=np.int64)]
+        succ_indices, roots, root_times = [], [], []
+        core.device_compute_ops = {}
+        core.chan_eid, core.chan_iid, core.chan_devices = [], [], []
+        core.chunk_op_ids, core.chunk_param_names = [], []
+        chan_sizes: list[int] = []
+        groups = []
+        op_off = edge_off = 0
+        for j, part in enumerate(parts):
+            label = job_label(j)
+            prefix = label + "/"
+            rmap = []
+            for name in part.resource_names():
+                kind, device = name.split(":", 1)
+                device = prefix + device
+                if kind != "compute":
+                    device = self.host_map.get(device, device)
+                rmap.append(core._rid(f"{kind}:{device}"))
+            # a trailing -1 maps the "no resource" id -1 onto itself
+            rmap_arr = np.array(rmap + [-1], dtype=np.int64)
+            op_res.append(rmap_arr[part.op_res])
+            t_egress.append(rmap_arr[part.t_egress])
+            t_ingress.append(rmap_arr[part.t_ingress])
+            chan_off = len(chan_sizes)
+            t_chan.append(np.where(part.t_chan >= 0, part.t_chan + chan_off, -1))
+            core.chan_eid += [rmap[e] for e in part.chan_eid]
+            core.chan_iid += [rmap[i] for i in part.chan_iid]
+            core.chan_devices += [
+                (prefix + a, prefix + b) for a, b in part.chan_devices
+            ]
+            q = part.q_base
+            chan_sizes += [q[c + 1] - q[c] for c in range(part.n_wire_channels)]
+            succ_indptr.append(part.succ_indptr[1:] + edge_off)
+            succ_indices.append(part.succ_indices + op_off)
+            for device, ids in part.device_compute_ops.items():
+                core.device_compute_ops[prefix + device] = ids + op_off
+            core.chunk_op_ids += [o + op_off for o in part.chunk_op_ids]
+            core.chunk_param_names += [prefix + p for p in part.chunk_param_names]
+            groups.append([
+                (
+                    tuple(prefix + p for p in params),
+                    [o + op_off for o in op_ids],
+                    [None if a is None else a + op_off for a in acts],
+                )
+                for params, op_ids, acts in part.param_groups
+            ])
+            roots += [r + op_off for r in part.roots]
+            # (``or``: a -0.0 arrival releases at +0.0)
+            root_times.append(
+                np.full(len(part.roots), self.job_arrivals[label] or 0.0)
+            )
+            op_off += part.n
+            edge_off += int(part.succ_indptr[-1])
+
+        core.n = op_off
+        core.base_indeg = np.concatenate([p.base_indeg for p in parts])
+        core.succ_indptr = np.concatenate(succ_indptr)
+        core.succ_indices = np.concatenate(succ_indices)
+        core.is_transfer = np.concatenate([p.is_transfer for p in parts])
+        core.is_chunk = np.concatenate([p.is_chunk for p in parts])
+        core.op_res = np.concatenate(op_res)
+        core.t_egress = np.concatenate(t_egress)
+        core.t_ingress = np.concatenate(t_ingress)
+        core.t_chan = np.concatenate(t_chan)
+        core.base_dur = np.concatenate([p.base_dur for p in parts])
+        core.wire_base = np.concatenate([p.wire_base for p in parts])
+        core.lat = np.concatenate([p.lat for p in parts])
+        core.roots = roots
+        # Param groups go in sorted link-name order. Every link of job j
+        # is named ``link:j<j>/...``, so that order keeps each job's own
+        # group order and sorts whole jobs by label (j10 before j2).
+        order = sorted(range(len(parts)), key=lambda j: job_label(j) + "/")
+        core.param_groups = [group for j in order for group in groups[j]]
+
+        # --- job tags, root release times, per-job faults ---------------
+        core.jobs = tuple(self.job_ops)
+        core.job_of = np.repeat(
+            np.arange(len(parts), dtype=np.int32), [p.n for p in parts]
+        )
+        core.root_times = np.concatenate(root_times)
+        # Each job's FaultPlan is written against its own device names:
+        # scope it into the job's namespace. Variants merge the result
+        # with SimConfig.faults when compiling fault windows.
+        core.job_faults = None
+        for i, job in enumerate(self.spec.jobs):
+            if job.faults is not None and job.faults.events:
+                scoped = job.faults.scoped(job_label(i) + "/")
+                core.job_faults = (
+                    scoped if core.job_faults is None
+                    else core.job_faults + scoped
+                )
+        return chan_sizes
 
 
 def build_jobmix_graph(ir, spec: JobMixSpec) -> JobMixGraph:
-    """Assemble the union DAG of ``spec``.
+    """Assemble the cluster surface of ``spec`` (see :class:`JobMixGraph`).
 
     ``ir`` (the conventional builder argument) is ignored: a mix names
     several models, each built at its native batch size through the
-    memoized per-job builders.
+    memoized job shapes.
     """
-    from ..backends import build_comm_graph
     from ..backends.placement import place_jobs
-    from ..models import build_model
 
-    union = Graph("jobmix/" + "+".join(j.model for j in spec.jobs))
-    mix = JobMixGraph(spec=spec, graph=union)
+    mix = JobMixGraph(spec=spec)
     devices_by_job: list[list[str]] = []
-
+    # (model, backend spec) -> shape: a mix repeats shapes.
+    shapes: dict = {}
+    offset = 0
     for i, job in enumerate(spec.jobs):
-        prefix = job_label(i) + "/"
-        jir = build_model(job.model)
+        label = job_label(i)
+        prefix = label + "/"
         jspec = job.to_spec()
-        sub = build_comm_graph(jir, jspec)
+        shape = shapes.get((job.model, jspec))
+        if shape is None:
+            shape = shapes[job.model, jspec] = job_shape(job.model, jspec)
+        sub = shape.cluster
+        mix.shapes.append(shape)
         devices_by_job.append([prefix + d for d in job.devices()])
-
-        def rebuild(op: Op, new_id: int, _prefix=prefix) -> Op:
-            if op.resource is None:
-                raise GraphError(f"op {op.name!r} has no resource tag")
-            return Op(
-                op_id=new_id,
-                name=_prefix + op.name,
-                kind=op.kind,
-                resource=_prefixed_resource(op.resource, _prefix),
-                cost=op.cost,
-                param=_prefix + op.param if op.param else None,
-                device=_prefix + op.device if op.device else None,
-                attrs=dict(op.attrs),
-            )
-
-        mapping = union.splice(sub.graph, rebuild)
-        mix.job_ops[job_label(i)] = sorted(mapping.values())
-        mix.job_arrivals[job_label(i)] = float(job.arrival)
-        for link, transfers in sub.transfers_by_link.items():
-            new_link = _prefixed_resource(link, prefix)
-            mix.transfers_by_link[new_link] = [
-                Transfer(
-                    op_id=mapping[t.op_id],
-                    param=prefix + t.param,
-                    src=prefix + t.src,
-                    dst=prefix + t.dst,
-                    kind=t.kind,
-                    iteration=t.iteration,
-                )
-                for t in transfers
-            ]
+        n = len(sub.graph)
+        mix.job_ops[label] = list(range(offset, offset + n))
+        mix.job_arrivals[label] = float(job.arrival)
         for worker, ids in sub.worker_ops.items():
-            mix.worker_ops[prefix + worker] = [mapping[o] for o in ids]
+            mix.worker_ops[prefix + worker] = [o + offset for o in ids]
         for cname, params in (getattr(sub, "chunk_params", None) or {}).items():
             mix.chunk_params[prefix + cname] = tuple(prefix + p for p in params)
         for cname, order in (getattr(sub, "chunk_order", None) or {}).items():
             mix.chunk_order[prefix + cname] = order
+        offset += n
 
     mix.host_map = place_jobs(
         devices_by_job,

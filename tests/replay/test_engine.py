@@ -208,3 +208,24 @@ class TestDeterminism:
         traces = [jt(i) for i in range(4)]
         result, _ = run(traces, runner)
         assert result.epochs > result.compositions
+
+
+def test_two_shape_replay_builds_each_cluster_graph_once():
+    """Mix clusters stay out of the graph memo: however many distinct
+    compositions a replay compiles, each job shape's cluster graph is
+    built once instead of being evicted by the mixes built from it."""
+    from repro import backends
+    from repro.sim import jobmix
+
+    traces = [
+        jt(i, arrival=0.05 * i, iterations=1.0 + i % 3, workers=1 + i % 2,
+           algorithm=("tic", "tac")[i // 2 % 2])
+        for i in range(14)
+    ]
+    backends.clear_graph_memo()
+    jobmix.clear_shape_memo()
+    before = backends.memo_stats()["graph_memo_misses"]
+    with SweepRunner(jobs=1) as fresh:
+        result, _ = run(traces, fresh, cluster=ReplayCluster(n_hosts=8))
+    assert result.compositions > backends._GRAPH_MEMO_CAP
+    assert backends.memo_stats()["graph_memo_misses"] - before == 2

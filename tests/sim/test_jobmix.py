@@ -1,8 +1,8 @@
-"""Multi-job union path: graph structure, schedules, contention, caching.
+"""Multi-job mixes: composed structure, schedules, contention, caching.
 
 Complements :mod:`tests.sim.test_jobmix_golden` (1-job bit-exactness):
 here the mixes are real — several jobs, arrival offsets, shared hosts —
-and the invariants are structural (namespaces partition the union DAG),
+and the invariants are structural (namespaces partition the mix's ops),
 semantic (contention can only hurt; arrivals delay roots) and
 infrastructural (cache keys fold the mix structure in; shared-core
 publication and JSON serialization carry the per-job surfaces).
@@ -20,6 +20,7 @@ from repro.backends import (
 )
 from repro.models import build_model
 from repro.sim import (
+    CompiledCore,
     JobMixSpec,
     JobSpec,
     SimConfig,
@@ -84,11 +85,25 @@ def test_union_graph_partitions_by_job():
     ids0, ids1 = set(mix.job_ops["j0"]), set(mix.job_ops["j1"])
     assert not (ids0 & ids1)
     assert len(ids0 | ids1) == len(mix.graph)
+    names = set()
     for op in mix.graph:
         label = op.name.split("/", 1)[0]
         assert label in ("j0", "j1")
         assert op.op_id in (ids0 if label == "j0" else ids1)
-    mix.graph.validate()
+        assert mix.graph.op(op.op_id).name == op.name
+        names.add(op.name)
+    assert len(names) == len(mix.graph)  # namespaced names stay unique
+    # the composed dependency CSR is each job's own, offset: no edge
+    # crosses jobs and every job keeps exactly its DAG's edges
+    core = CompiledCore(mix, get_platform("envC"))
+    offset = 0
+    for label, single in zip(TWO_ALEX.labels, singles):
+        for i in range(len(single.graph)):
+            succ = core.succ_indices[core.succ_indptr[offset + i]:
+                                     core.succ_indptr[offset + i + 1]]
+            assert (succ - offset).tolist() == single.graph.succ_ids(i)
+            assert {core.job_of[s] for s in succ} <= {core.jobs.index(label)}
+        offset += len(single.graph)
     assert mix.job_arrivals == {"j0": 0.0, "j1": 6.0}
     # packed on 6 hosts x 2 slots -> the 6 devices share 3 hosts
     assert set(mix.host_map) == {
@@ -101,9 +116,16 @@ def test_transfers_and_worker_ops_are_namespaced():
     ir = build_model("AlexNet v2")
     mix = build_jobmix_graph(ir, TWO_ALEX)
     assert all(w.startswith(("j0/", "j1/")) for w in mix.worker_ops)
-    for link, transfers in mix.transfers_by_link.items():
-        prefixes = {t.param.split("/", 1)[0] for t in transfers}
+    core = CompiledCore(mix, get_platform("envC"))
+    assert core.param_groups
+    for params, op_ids, acts in core.param_groups:
+        prefixes = {p.split("/", 1)[0] for p in params}
         assert len(prefixes) == 1  # links never mix jobs' transfers
+        (label,) = prefixes
+        assert set(op_ids) <= set(mix.job_ops[label])
+        assert set(acts) <= set(mix.job_ops[label])
+    for src, dst in core.chan_devices:
+        assert src.split("/", 1)[0] == dst.split("/", 1)[0]
 
 
 def test_schedule_composition_prefixes_priorities():

@@ -1,9 +1,10 @@
 """Golden regression: a 1-job mix on ``dedicated`` placement IS the
 single-job path.
 
-The union compile path (:mod:`repro.sim.jobmix`) namespaces every op,
-device, parameter and link under ``j0/`` and reuses the engine's logical
-(src, dst) channel numbering — so wrapping a single job in a
+The mix path (:mod:`repro.sim.jobmix`) namespaces every op, device,
+parameter and link under ``j0/`` and composes the mix core from the
+job's own core — a lone job keeps its op ids and channel numbering — so
+wrapping a single job in a
 :class:`~repro.sim.jobmix.JobMixSpec` must change *nothing*: every
 iteration's makespan, per-worker finish time and efficiency report is
 bit-identical, and the quick-grid CSV rows
