@@ -41,18 +41,12 @@ side-array writes behind a branch, and the untraced workloads above are
 what ``check`` gates), so this stage documents the opt-in cost instead of
 gating it; ``--update pr7`` records it in ``BENCH_engine.json``.
 
-``pr8`` measures the shared-core dispatch stages and ``--update pr8``
-records them under the ``pr8`` block:
+``pr8`` measures the variant dispatch stage and ``--update pr8``
+records it under the ``pr8`` block:
 
 * ``variant_dispatch_8`` — 8 seed-variants of an AlexNet v2 2-worker
-  cluster on ONE shared core, 2 iterations each, as 8
-  ``run_iterations`` calls (per-second numbers are per iteration).
-* ``sweep_group_batched`` vs ``sweep_group_dispatch`` — a 32-cell
-  shared-core group (single-worker AlexNet v2 inference, one measured
-  iteration per cell: the fine-grained autotuning regime) through
-  ``SweepRunner(jobs=2)``: the batched phase-B lane (chunks of cells
-  per worker task) against one task per cell (per-second numbers are
-  per cell-iteration).
+  cluster on ONE core, 2 iterations each, as 8 ``run_iterations``
+  calls (per-second numbers are per iteration).
 
 ``compose`` measures the job-mix composition stage and ``--update
 compose`` records it under the ``compose`` block:
@@ -63,8 +57,7 @@ compose`` records it under the ``compose`` block:
   cluster surface plus a core composed from memoized per-shape cores.
 
 ``check`` gates the committed pr8 and compose stage entries alongside
-pr4; the sweep stages gate at a widened tolerance (pool scheduling
-noise) while the engine and compose stages use the standard one.
+pr4, all at the same tolerance.
 """
 
 from __future__ import annotations
@@ -153,12 +146,10 @@ def build_compose_workloads():
 
 
 def build_pr8_workloads():
-    """The pr8 stages (see module docstring). Returns ``(workloads,
-    runner)`` — the caller must ``runner.close()``."""
+    """The pr8 stage (see module docstring)."""
     from repro.models import build_model
     from repro.ps import ClusterSpec, build_cluster_graph
     from repro.sim import CompiledCore, SimConfig, SimVariant
-    from repro.sweep import SimCell, SweepRunner
     from repro.timing import ENV_G
 
     ir = build_model("AlexNet v2")
@@ -173,51 +164,7 @@ def build_pr8_workloads():
     def dispatch():
         return [v.run_iterations(0, iters) for v in variants]
 
-    # The sweep stage models the fine-grained autotuning regime batching
-    # exists for: MANY cheap variants of one shared core, one measured
-    # iteration each — per-cell dispatch overhead rivals the simulation.
-    cfg = SimConfig(iterations=1, warmup=0)
-    sweep_spec = ClusterSpec(1, 1, "inference")
-    cells = [
-        SimCell(model="AlexNet v2", spec=sweep_spec, algorithm="baseline",
-                config=cfg.with_(seed=s))
-        for s in range(32)
-    ]
-    runner = SweepRunner(jobs=2)
-    # warm outside timing: spawn the pool, import-warm the workers,
-    # publish the group core once (reused by every timed run).
-    runner.run_cells(cells)
-
-    def sweep_batched():
-        runner.batch_cells = True
-        return runner.run_cells(cells)
-
-    def sweep_dispatch():
-        runner.batch_cells = False
-        return runner.run_cells(cells)
-
-    workloads = {
-        "variant_dispatch_8": (dispatch, 8 * iters),
-        "sweep_group_batched": (sweep_batched, len(cells)),
-        "sweep_group_dispatch": (sweep_dispatch, len(cells)),
-    }
-    return workloads, runner
-
-
-def measure_pr8(repeats: int = 5) -> tuple[dict, dict]:
-    """(seconds-per-iteration per pr8 stage, dispatch/batched speedup
-    ratio of the sweep stages)."""
-    workloads, runner = build_pr8_workloads()
-    try:
-        results = measure_stage(workloads, repeats)
-    finally:
-        runner.close()
-    ratios = {
-        "sweep_group": round(
-            results["sweep_group_dispatch"] / results["sweep_group_batched"], 2
-        ),
-    }
-    return results, ratios
+    return {"variant_dispatch_8": (dispatch, 8 * iters)}
 
 
 def _calibration_kernel() -> float:
@@ -296,7 +243,7 @@ def main(argv=None) -> int:
                                  "compose"],
                         help="write measurements into BENCH_engine.json "
                         "(pr7 records the trace-overhead stage, pr8 the "
-                        "shared-core dispatch stages, compose the job-mix "
+                        "variant dispatch stage, compose the job-mix "
                         "composition stage)")
     args = parser.parse_args(argv)
     if args.update == "pr8" and args.command != "pr8":
@@ -360,24 +307,19 @@ def main(argv=None) -> int:
                 failures.append(name)
         pr8_entry = (bench.get("pr8") or {}).get(STAGE_KEY)
         if pr8_entry and pr8_entry.get("workloads"):
-            p8_results, p8_ratios = measure_pr8(args.repeats)
+            p8_results = measure_stage(build_pr8_workloads(), args.repeats)
             cal8 = pr8_entry.get("calibration")
             scale8 = calibration / cal8 if cal8 else 1.0
-            print(f"pr8 stages (shared-core dispatch, {p8_ratios} speedups):")
+            print("pr8 stage (variant dispatch):")
             for name, sec in p8_results.items():
                 ref = pr8_entry["workloads"].get(name)
                 if ref is None:
                     continue
-                # sweep stages ride a live process pool: scheduling noise
-                # earns them a wider gate than the in-process ones.
-                tol = (args.tolerance if name.startswith("variant_")
-                       else max(args.tolerance, 0.5))
                 slowdown = sec / (ref * scale8) - 1.0
-                bad = slowdown > tol
+                bad = slowdown > args.tolerance
                 status = "FAIL" if bad else "ok"
                 print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
-                      f"{ref*scale8*1e3:.1f} ms ({slowdown:+.0%}, "
-                      f"tol {tol:.0%}) {status}")
+                      f"{ref*scale8*1e3:.1f} ms ({slowdown:+.0%}) {status}")
                 if bad:
                     failures.append(name)
         compose_entry = (bench.get("compose") or {}).get(STAGE_KEY)
@@ -407,15 +349,14 @@ def main(argv=None) -> int:
 
 
 def pr8_stage(args) -> int:
-    """Measure the shared-core dispatch stages and optionally record them
+    """Measure the variant dispatch stage and optionally record it
     (``--update pr8``) in the ``pr8`` block."""
-    results, ratios = measure_pr8(args.repeats)
+    results = measure_stage(build_pr8_workloads(), args.repeats)
     _calibration_kernel()
     calibration = min(_time_once(_calibration_kernel)
                       for _ in range(args.repeats))
     print(json.dumps(
         {**{k: round(v, 6) for k, v in results.items()},
-         "speedup": ratios,
          "calibration": round(calibration, 6)},
         indent=1,
     ))
@@ -423,7 +364,6 @@ def pr8_stage(args) -> int:
         bench = load_baseline()
         bench.setdefault("pr8", {})[STAGE_KEY] = {
             "workloads": {k: round(v, 6) for k, v in results.items()},
-            "speedup": ratios,
             "calibration": round(calibration, 6),
         }
         with open(BASELINE_PATH, "w") as fh:

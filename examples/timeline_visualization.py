@@ -3,19 +3,21 @@
 
 Renders ASCII Gantt charts of one simulated iteration of Inception v3
 serving under the random baseline and under TIC — the real-model version
-of the paper's Figure 1b/1c — and exports Chrome-trace JSON files
-(open in chrome://tracing or https://ui.perfetto.dev) for interactive
-inspection.
+of the paper's Figure 1b/1c — and exports each traced iteration as
+Chrome-trace JSON (open in chrome://tracing or https://ui.perfetto.dev)
+for interactive inspection.
 
 Run:  python examples/timeline_visualization.py
 """
 
 import os
 
-from repro.analysis import ascii_gantt, write_chrome_trace
+from repro.analysis import ascii_gantt
 from repro.core import Schedule
 from repro.core.wizard import compute_schedule
 from repro.models import build_model
+from repro.obs import Trace
+from repro.obs.export import chrome_trace
 from repro.ps import ClusterSpec, build_cluster_graph, build_reference_partition
 from repro.sim import CompiledCore, SimConfig, SimVariant
 from repro.timing import ENV_G
@@ -31,8 +33,10 @@ def main() -> None:
     reference = build_reference_partition(ir, workload="inference", n_ps=1)
     tic = compute_schedule(reference, "tic")
 
-    # deterministic timings so the two charts differ only by ordering
-    config = SimConfig(iterations=1, jitter_sigma=0.0, seed=2)
+    # deterministic timings so the two charts differ only by ordering;
+    # tracing records the event streams the Chrome export needs without
+    # changing any result
+    config = SimConfig(iterations=1, jitter_sigma=0.0, seed=2, trace=True)
     focus = ["nic_out:ps:0", "compute:worker:0", "compute:worker:1"]
 
     for label, schedule in (("baseline", Schedule("baseline")), ("tic", tic)):
@@ -41,10 +45,9 @@ def main() -> None:
         print(f"\n=== {MODEL}, {label}: one inference iteration "
               f"({record.makespan*1e3:.1f} ms) ===")
         print(ascii_gantt(sim, record, width=78, resources=focus))
-        path = write_chrome_trace(
-            os.path.join(OUT_DIR, f"trace_{label.replace(' ', '_')}.json"),
-            sim, record,
-        )
+        path = os.path.join(OUT_DIR, f"trace_{label.replace(' ', '_')}.json")
+        os.makedirs(OUT_DIR, exist_ok=True)
+        chrome_trace(Trace.from_record(sim, record), path)
         print(f"chrome trace -> {path}")
 
     print(

@@ -84,7 +84,7 @@ class ResultSet:
     provenance: Optional[Provenance] = None
     #: run telemetry: the sweep runner's counter deltas over this
     #: scenario (cells requested/deduped/cached/simulated, worker wall
-    #: time, shared-core activity, cache and memo hit/miss counts — see
+    #: time, group tasks, cache and memo hit/miss counts — see
     #: :mod:`repro.obs.telemetry` for the schema). Empty when the run
     #: touched no sweep machinery.
     telemetry: dict = field(default_factory=dict)

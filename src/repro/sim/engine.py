@@ -379,27 +379,6 @@ class CompiledCore:
         self.roots = np.flatnonzero(self.base_indeg == 0).tolist()
         return chan_sizes
 
-    @classmethod
-    def from_arrays(cls, arrays: dict, state: dict) -> "CompiledCore":
-        """Rebuild a core from its compiled arrays + small python state,
-        skipping the graph traversal entirely (the cross-process shared-
-        core path — see :mod:`repro.sweep.sharedcore`). The arrays may be
-        read-only views of a shared-memory buffer; the core never writes
-        them. ``state['cluster']`` is typically a detached stand-in
-        exposing only the post-compile surface (``worker_ops``,
-        ``chunk_params``, ``chunk_order``)."""
-        core = cls.__new__(cls)
-        for name, arr in arrays.items():
-            setattr(core, name, arr)
-        for name, value in state.items():
-            setattr(core, name, value)
-        core.device_compute_ops = {
-            dev: np.asarray(ids, dtype=np.int64)
-            for dev, ids in core.device_compute_ops.items()
-        }
-        core._build_mirrors()
-        return core
-
     def _build_mirrors(self) -> None:
         # --- python-native mirrors for the event loop --------------------
         # Scalar indexing of numpy arrays costs ~10x a list index in the

@@ -12,7 +12,7 @@ touching the engine's semantics for single jobs:
   (:mod:`repro.backends.placement`) mapping every job's logical devices
   onto shared hosts. It is a first-class backend spec: ``SimCell`` grids,
   :func:`repro.sim.runner.simulate_cluster`, the sweep cache and the
-  shared-core publication all consume it through the backend registry.
+  worker pool all consume it through the backend registry.
 
 **Composed cores.** :func:`build_jobmix_graph` builds each job's
 cluster DAG through the (memoized) backend builders and returns a

@@ -1,11 +1,8 @@
-"""Timeline rendering and Chrome-trace export."""
-
-import json
-import os
+"""Timeline rendering (ASCII Gantt)."""
 
 import pytest
 
-from repro.analysis import ascii_gantt, chrome_trace, write_chrome_trace
+from repro.analysis import ascii_gantt
 from repro.ps import ClusterSpec, build_cluster_graph
 from repro.sim import CompiledCore, SimConfig, SimVariant
 
@@ -43,34 +40,3 @@ def test_gantt_width_respected(run):
     assert all(l.count("|") == 2 for l in bars)
     inner = bars[0].split("|")[1]
     assert len(inner) == 40
-
-
-def test_chrome_trace_events_well_formed(run):
-    sim, record = run
-    events = chrome_trace(sim, record)
-    slices = [e for e in events if e["ph"] == "X"]
-    metas = [e for e in events if e["ph"] == "M"]
-    assert slices and metas
-    for e in slices:
-        assert e["dur"] >= 0
-        assert e["ts"] >= 0
-        assert e["cat"] in ("compute", "transfer")
-    # every track has a name
-    tids = {e["tid"] for e in slices}
-    named = {e["tid"] for e in metas}
-    assert tids <= named
-
-
-def test_chrome_trace_covers_span(run):
-    sim, record = run
-    events = [e for e in chrome_trace(sim, record) if e["ph"] == "X"]
-    last_end = max(e["ts"] + e["dur"] for e in events)
-    assert last_end == pytest.approx(record.makespan * 1e6, rel=1e-6)
-
-
-def test_write_chrome_trace_roundtrip(run, tmp_path):
-    sim, record = run
-    path = write_chrome_trace(os.path.join(tmp_path, "t", "trace.json"),
-                              sim, record)
-    data = json.load(open(path))
-    assert isinstance(data, list) and len(data) > 10

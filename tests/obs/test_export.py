@@ -35,6 +35,32 @@ def jobmix_trace():
     return trace_cell(cell).trace
 
 
+@pytest.fixture(scope="module")
+def tiny_trace():
+    """One traced iteration of the tiny test model on a 2-worker PS
+    cluster (flat platform)."""
+    from repro.obs.trace import Trace
+    from repro.ps import ClusterSpec, build_cluster_graph
+    from repro.sim import CompiledCore, SimConfig, SimVariant
+
+    from ..conftest import tiny_model
+    from ..sim.test_engine import FLAT
+
+    cluster = build_cluster_graph(tiny_model(), ClusterSpec(2, 1, "training"))
+    variant = SimVariant(
+        CompiledCore(cluster, FLAT), None, SimConfig(iterations=1, trace=True)
+    )
+    return Trace.from_record(variant, variant.run_iteration(0))
+
+
+@pytest.fixture(params=["headline", "tiny", "jobmix"])
+def any_trace(request):
+    """Each trace input above, one per test id."""
+    fixture = {"headline": "cap", "tiny": "tiny_trace", "jobmix": "jobmix_trace"}
+    value = request.getfixturevalue(fixture[request.param])
+    return value.trace if request.param == "headline" else value
+
+
 # ----------------------------------------------------------------------
 # chrome exporter
 # ----------------------------------------------------------------------
@@ -65,6 +91,27 @@ def test_chrome_trace_event_inventory(cap):
     # args carry the observability columns for the detail pane
     x0 = by_ph["X"][0]["args"]
     assert {"ready_us", "wait_us", "queue_depth", "priority"} <= set(x0)
+
+
+def test_chrome_trace_events_well_formed(any_trace):
+    """Every slice sits on a named thread of a named process."""
+    doc = chrome_trace(any_trace)
+    validate_chrome_trace(doc)
+    events = doc["traceEvents"]
+    meta = [ev for ev in events if ev["ph"] == "M"]
+    procs = {ev["pid"] for ev in meta if ev["name"] == "process_name"}
+    threads = {(ev["pid"], ev["tid"]) for ev in meta if ev["name"] == "thread_name"}
+    slices = {(ev["pid"], ev["tid"]) for ev in events if ev["ph"] == "X"}
+    assert slices and slices <= threads
+    assert {pid for pid, _tid in threads} <= procs
+
+
+def test_chrome_trace_covers_span(any_trace):
+    """The slices end where the iteration does."""
+    slices = [ev for ev in chrome_trace(any_trace)["traceEvents"]
+              if ev["ph"] == "X"]
+    last_end = max(ev["ts"] + ev["dur"] for ev in slices)
+    assert last_end == pytest.approx(any_trace.makespan * 1e6, rel=1e-6)
 
 
 def test_chrome_trace_jobmix_process_groups(jobmix_trace):

@@ -4,13 +4,11 @@ The trace subsystem's one hard invariant is that turning it on changes
 *nothing* — no RNG draw, no event reorder, no float. Pinned three ways:
 
 * traced vs untraced records are bit-identical (start/end/dedicated/
-  makespan/out-of-order) on every golden case, on an in-process core and
-  on a shared-memory attached one;
+  makespan/out-of-order) on every golden case;
 * the committed golden matrix replays byte-identically with tracing ON
   (tracing can never change ENGINE_REV semantics);
-* a traced run against a shared-memory attached core records the same
-  event stream as in-process, on every golden case and on a co-scheduled
-  job mix (the sharedcore round trip adds nothing).
+* a co-scheduled job mix traced in a sweep pool worker records the same
+  event stream as in-process.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.sim import CompiledCore, SimConfig, SimVariant
-from repro.sweep import sharedcore
 from repro.timing import get_platform
 
 from ..sim.test_engine_golden import (
@@ -34,11 +31,9 @@ from ..sim.test_engine_golden import (
 CASES = [c["case"] for c in _GOLDEN["cases"]]
 IDS = [c["name"] for c in CASES]
 
-#: Where a case's core lives (the labels are the cases' test ids):
-#: ``python`` is the core compiled in-process; ``portable`` is the same
-#: core published to shared memory and attached, as sweep pool workers
-#: hold it.
-CORES = ["python", "portable"]
+#: Where a case's core lives (the label is the cases' id suffix):
+#: ``python`` is the core compiled in-process.
+CORES = ["python"]
 
 
 def _variant(case: dict, **overrides) -> SimVariant:
@@ -47,21 +42,6 @@ def _variant(case: dict, **overrides) -> SimVariant:
     schedule = None if case["schedule"] == "baseline" else layerwise(ir)
     cfg = make_config(case["config"]).with_(**overrides)
     return SimVariant(CompiledCore(cluster, platform), schedule, cfg)
-
-
-def _run_on(where: str, variant: SimVariant, iteration: int = 0):
-    """Run ``variant`` on its in-process core (``python``) or on a
-    shared-memory attached copy of it (``portable``)."""
-    if where == "python":
-        return variant.run_iteration(iteration)
-    handle = sharedcore.publish(variant.core, meta={})
-    try:
-        attached, _ = sharedcore.attach(handle)
-        return SimVariant(attached, variant.schedule, variant.config).run_iteration(
-            iteration
-        )
-    finally:
-        handle.unlink()
 
 
 def _records_identical(a, b) -> bool:
@@ -80,8 +60,8 @@ def _records_identical(a, b) -> bool:
 @pytest.mark.parametrize("where", CORES)
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_tracing_never_changes_results(case, where):
-    plain = _run_on(where, _variant(case))
-    traced = _run_on(where, _variant(case, trace=True))
+    plain = _variant(case).run_iteration(0)
+    traced = _variant(case, trace=True).run_iteration(0)
     assert plain.trace is None
     assert traced.trace is not None
     assert traced.trace.n_chunk_events > 0
@@ -98,41 +78,22 @@ def test_golden_matrix_replays_traced(case):
 
 
 # ----------------------------------------------------------------------
-# in-process vs shared-memory attached event streams
+# in-process vs pool-worker event streams
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("case", CASES, ids=IDS)
-def test_kernels_record_identical_streams(case):
-    """The event loop records the same stream whether it runs on the
-    in-process core or on the shared-memory copy pool workers attach."""
-    local = _run_on("python", _variant(case, trace=True))
-    remote = _run_on("portable", _variant(case, trace=True))
-    assert _records_identical(local, remote)
-    assert local.trace.same_stream(remote.trace)
-    assert local.trace.n_chunk_events == remote.trace.n_chunk_events > 0
-
-
 def test_jobmix_cell_streams_agree_across_kernels():
     """A co-scheduled 2-job mix (shared-NIC packed placement) traces
-    identically in-process and on the sweep runner's shared-memory core,
-    and the joined Trace carries the job tags."""
+    identically in-process and in a sweep pool worker (where every cell
+    of a ``jobs > 1`` sweep runs); the joined Trace carries the job
+    tags."""
     from repro.api.jobmix_scenarios import CONTENTION_MIX
-    from repro.core.schedules import Schedule
     from repro.obs.capture import trace_cell
-    from repro.obs.trace import Trace
-    from repro.sweep import runner
+    from repro.sweep import SweepRunner
 
     cell = CONTENTION_MIX.cells(SimConfig(iterations=2, warmup=1))[1]
+    with SweepRunner(jobs=2) as runner:
+        # the worker forks before the in-process trace below fills a memo
+        remote = runner._get_pool().submit(trace_cell, cell).result().trace
     local = trace_cell(cell)
-    prepared = runner._prepare_group([cell])
-    try:
-        attached, _ = sharedcore.attach(prepared.handle)
-        schedule = prepared.schedules.get(
-            (cell.algorithm, cell.config.seed), Schedule("baseline")
-        )
-        variant = SimVariant(attached, schedule, cell.config.with_(trace=True))
-        remote = Trace.from_record(variant, variant.run_iteration(local.iteration))
-    finally:
-        prepared.handle.unlink()
     assert local.trace.ready.tolist() == remote.ready.tolist()
     assert local.trace.depth.tolist() == remote.depth.tolist()
     assert local.trace.chunk_start.tolist() == remote.chunk_start.tolist()
@@ -175,21 +136,3 @@ def test_ooo_recount_matches_engine_audit():
         trace = Trace.from_record(variant, record)
         diag = trace.scheduler_diagnostics()
         assert diag["total_inversions"] == record.out_of_order_handoffs
-
-
-# ----------------------------------------------------------------------
-# shared-core round trip
-# ----------------------------------------------------------------------
-def test_attached_core_traces_identically():
-    ir, cluster = build_cluster("ps")
-    core = CompiledCore(cluster, FLAT)
-    cfg = SimConfig(enforcement="sender", iterations=1, seed=7, trace=True)
-    local = SimVariant(core, layerwise(ir), cfg).run_iteration(0)
-    handle = sharedcore.publish(core, meta={"model": ir.name})
-    try:
-        attached, _ = sharedcore.attach(handle)
-        remote = SimVariant(attached, layerwise(ir), cfg).run_iteration(0)
-    finally:
-        handle.unlink()
-    assert _records_identical(local, remote)
-    assert local.trace.same_stream(remote.trace)

@@ -31,11 +31,57 @@ from repro.sim import (
 )
 from repro.replay.loader import DEFAULT_MODEL_MIX, load_alibaba_csv
 from repro.sim import jobmix
-from repro.sweep.sharedcore import ARRAY_ATTRS, STATE_ATTRS
 from repro.sweep.spec import SimCell
 from repro.timing import get_platform
 
 ENV_C = get_platform("envC")
+
+#: the core's numpy arrays (the compile-expensive part) ...
+ARRAY_ATTRS = (
+    "base_indeg",
+    "succ_indptr",
+    "succ_indices",
+    "is_transfer",
+    "op_res",
+    "t_egress",
+    "t_ingress",
+    "base_dur",
+    "wire_base",
+    "lat",
+    "t_chan",
+    "is_chunk",
+    "capacity",
+    "tr_ids",
+    "tr_eg",
+    "tr_in",
+    "comp_ids",
+    "comp_res",
+    "root_times",
+    "job_of",
+)
+
+#: ... and its plain-python state fields.
+STATE_ATTRS = (
+    "n",
+    "n_res",
+    "n_wire_channels",
+    "_res_index",
+    "chan_eid",
+    "chan_iid",
+    "egress_ids",
+    "eg_chan_lists",
+    "eg_pos",
+    "q_base",
+    "q_slots",
+    "chunk_op_ids",
+    "chunk_param_names",
+    "param_groups",
+    "roots",
+    "jobs",
+    "platform",
+    "chan_devices",
+    "job_faults",
+)
 
 
 def core_digest(core: CompiledCore) -> str:

@@ -9,7 +9,7 @@ wrapping a single job in a
 iteration's makespan, per-worker finish time and efficiency report is
 bit-identical, and the quick-grid CSV rows
 (fig7's PS grid and the allreduce grid) regenerate byte-for-byte — both
-in-process and through the sweep runner's shared-memory lane.
+in-process and as group tasks on the sweep runner's worker pool.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ import pytest
 from repro.analysis import write_csv
 from repro.backends import make_spec
 from repro.sim import JobMixSpec, JobSpec, SimConfig, simulate_cluster
-from repro.sweep import runner
+from repro.sweep import SweepRunner, runner
 from repro.sweep.serialize import iteration_to_dict, result_from_dict
 from repro.sweep.spec import SimCell
 
 #: How each cell is simulated (the labels are the cases' test ids):
-#: ``python`` calls ``simulate_cluster`` in-process; ``portable`` publishes
-#: the group's core to shared memory and runs the cell through the sweep
-#: runner's chunked worker entry, as pool workers do.
+#: ``python`` calls ``simulate_cluster`` in-process; ``portable`` submits
+#: the cell as a one-cell group task (the sweep runner's ``_run_group``)
+#: to a ``jobs=2`` runner's worker pool, as ``--jobs N`` sweeps do.
 PATHS = ("python", "portable")
 
 #: micro slices of the fig7 (PS) and allreduce quick grids.
@@ -46,7 +46,14 @@ AR_CELLS = [
 CFG = SimConfig(iterations=3, warmup=1)
 
 
-def _simulate(model, spec, algorithm, platform, path):
+@pytest.fixture(scope="module")
+def pool():
+    """A sweep runner's persistent worker pool, shared by the module."""
+    with SweepRunner(jobs=2) as sweep:
+        yield sweep._get_pool()
+
+
+def _simulate(model, spec, algorithm, platform, path, pool):
     if path == "python":
         return simulate_cluster(
             model, spec, algorithm=algorithm, platform=platform, config=CFG
@@ -54,14 +61,7 @@ def _simulate(model, spec, algorithm, platform, path):
     cell = SimCell(
         model=model, spec=spec, algorithm=algorithm, platform=platform, config=CFG
     )
-    prepared = runner._prepare_group([cell])
-    try:
-        schedule = prepared.schedules.get((algorithm, CFG.seed))
-        _elapsed, (payload,) = runner._run_shared_cells_batched(
-            (prepared.handle, [(schedule, cell)])
-        )
-    finally:
-        prepared.handle.unlink()
+    _elapsed, (payload,) = pool.submit(runner._run_group, [cell]).result()
     return result_from_dict(payload)
 
 
@@ -80,18 +80,21 @@ def _strip_prefix(data: dict) -> dict:
     return data
 
 
-def _run_pair(backend, model, shape, algorithm, platform, path):
-    single = _simulate(model, make_spec(backend, **shape), algorithm, platform, path)
+def _run_pair(backend, model, shape, algorithm, platform, path, pool):
+    single = _simulate(
+        model, make_spec(backend, **shape), algorithm, platform, path, pool
+    )
     mix = _simulate(
-        model, _mix_of(backend, model, shape, algorithm), algorithm, platform, path
+        model, _mix_of(backend, model, shape, algorithm), algorithm, platform,
+        path, pool,
     )
     return single, mix
 
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("model,shape,algorithm", PS_CELLS)
-def test_one_job_mix_is_bit_identical_ps(model, shape, algorithm, path):
-    single, mix = _run_pair("ps", model, shape, algorithm, "envG", path)
+def test_one_job_mix_is_bit_identical_ps(model, shape, algorithm, path, pool):
+    single, mix = _run_pair("ps", model, shape, algorithm, "envG", path, pool)
     for s_it, m_it in zip(
         single.warmup + single.iterations, mix.warmup + mix.iterations
     ):
@@ -102,8 +105,12 @@ def test_one_job_mix_is_bit_identical_ps(model, shape, algorithm, path):
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("model,shape,algorithm", AR_CELLS)
-def test_one_job_mix_is_bit_identical_allreduce(model, shape, algorithm, path):
-    single, mix = _run_pair("allreduce", model, shape, algorithm, "envG", path)
+def test_one_job_mix_is_bit_identical_allreduce(
+    model, shape, algorithm, path, pool
+):
+    single, mix = _run_pair(
+        "allreduce", model, shape, algorithm, "envG", path, pool
+    )
     for s_it, m_it in zip(
         single.warmup + single.iterations, mix.warmup + mix.iterations
     ):
@@ -111,7 +118,7 @@ def test_one_job_mix_is_bit_identical_allreduce(model, shape, algorithm, path):
 
 
 @pytest.mark.parametrize("path", PATHS)
-def test_quick_grid_csv_rows_regenerate_byte_identical(tmp_path, path):
+def test_quick_grid_csv_rows_regenerate_byte_identical(tmp_path, path, pool):
     """Assemble fig7/allreduce-style CSV rows from both paths and compare
     the written files byte for byte."""
 
@@ -138,13 +145,13 @@ def test_quick_grid_csv_rows_regenerate_byte_identical(tmp_path, path):
 
     def run_single(backend, model, shape, algorithm, platform):
         return _simulate(
-            model, make_spec(backend, **shape), algorithm, platform, path
+            model, make_spec(backend, **shape), algorithm, platform, path, pool
         )
 
     def run_mix(backend, model, shape, algorithm, platform):
         return _simulate(
             model, _mix_of(backend, model, shape, algorithm), algorithm,
-            platform, path,
+            platform, path, pool,
         )
 
     single_csv = write_csv(

@@ -102,6 +102,25 @@ class TestPoolCrashRecovery:
             assert runner.telemetry.as_dict().get("pool_rebuilds", 0) >= 1
 
 
+    def test_pool_dead_at_submission_is_rebuilt_once(self):
+        """A pool that is already dead when the batch is submitted is
+        rebuilt once; every cell is retried on the fresh pool and the
+        batch completes bit-identical to a serial run."""
+        cells = grid_cells()
+        want = SweepRunner(jobs=1).run_cells(cells)
+        with SweepRunner(jobs=2, retry_backoff_s=0.0) as runner:
+            pool = runner._get_pool()
+            pids = {pool.submit(os.getpid).result() for _ in range(8)}
+            os.kill(next(iter(pids)), signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            got = runner.run_cells(cells)
+            assert runner.telemetry.get("pool_rebuilds") == 1
+            assert runner.quarantined == []
+        assert_results_identical(got, want)
+
+
 class TestQuarantine:
     def test_poison_cell_quarantined_batch_completes(self):
         cells = grid_cells()[:2] + [

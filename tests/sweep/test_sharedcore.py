@@ -1,36 +1,24 @@
-"""Cross-process shared cores: zero-copy fidelity + lifecycle hygiene.
+"""The sweep runner's persistent pool: parallel runs equal serial ones.
 
-Covers the ISSUE 4 sweep tentpole: workers attaching a published
-:class:`~repro.sim.engine.CompiledCore` must see byte-identical arrays
-and produce bit-identical simulations; the persistent pool must actually
-persist; and shared-memory blocks must never outlive their runner
-(``close``/``finally``/``atexit``), even when the sweep dies mid-run.
+With ``jobs > 1`` every compile-once group is one pool task (a batch
+with fewer groups than workers splits each group into strided chunks).
+Whatever the split, results must be bit-identical to a serial run, a
+scheduled cell must never degrade to baseline, cache entries must be
+interchangeable between serial and parallel runs, and the pool must
+persist across calls.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import subprocess
-import sys
-import textwrap
 
-import numpy as np
 import pytest
 
-from repro.ps import ClusterSpec, build_cluster_graph
-from repro.models import build_model
-from repro.sim import CompiledCore, SimConfig, SimVariant
-from repro.sweep import FnTask, SimCell, SweepRunner, sharedcore
-from repro.timing import ENV_G
+from repro.ps import ClusterSpec
+from repro.sim import SimConfig
+from repro.sweep import FnTask, SimCell, SweepRunner
 
 CFG = SimConfig(iterations=2, warmup=0)
-
-
-def make_core() -> CompiledCore:
-    ir = build_model("AlexNet v2")
-    cluster = build_cluster_graph(ir, ClusterSpec(2, 1, "training"))
-    return CompiledCore(cluster, ENV_G)
 
 
 def grid_cells() -> list[SimCell]:
@@ -39,8 +27,7 @@ def grid_cells() -> list[SimCell]:
                 algorithm=a, config=CFG)
         for a in ("baseline", "tic", "tac")
     ]
-    # a second group with a single cell (exercises the legacy lane of
-    # the mixed phase-A map) and a different seed variant
+    # a second group with a single cell and a different seed variant
     cells.append(SimCell(model="AlexNet v2", spec=ClusterSpec(4, 1, "training"),
                          algorithm="tic", config=CFG))
     cells.append(SimCell(model="AlexNet v2", spec=ClusterSpec(2, 1, "training"),
@@ -48,27 +35,8 @@ def grid_cells() -> list[SimCell]:
     return cells
 
 
-def core_checksum(core: CompiledCore) -> str:
-    digest = hashlib.sha256()
-    for attr in sharedcore.ARRAY_ATTRS:
-        digest.update(np.ascontiguousarray(getattr(core, attr)).tobytes())
-    return digest.hexdigest()
-
-
-def _attach_checksum(handle) -> tuple[int, str]:
-    """Worker probe: attach and fingerprint the shared arrays."""
-    core, _meta = sharedcore.attach(handle)
-    return os.getpid(), core_checksum(core)
-
-
 def _pid(_=None, tag=None) -> int:
     return os.getpid()
-
-
-def assert_unlinked(names):
-    """The given blocks are gone (other live runners' blocks may remain)."""
-    live = set(sharedcore.leaked_segments())
-    assert not (set(names) & live), (names, live)
 
 
 def assert_results_identical(a, b):
@@ -76,73 +44,6 @@ def assert_results_identical(a, b):
     for x, y in zip(a, b):
         assert x.summary() == y.summary()
         assert x.iteration_times.tolist() == y.iteration_times.tolist()
-
-
-# ----------------------------------------------------------------------
-# publish/attach fidelity
-# ----------------------------------------------------------------------
-class TestPublishAttach:
-    def test_roundtrip_arrays_and_simulation(self):
-        core = make_core()
-        handle = sharedcore.publish(
-            core, meta={"model": "AlexNet v2", "batch_size": 1, "n_params": 1}
-        )
-        try:
-            attached, meta = sharedcore.attach(handle)
-            assert meta["model"] == "AlexNet v2"
-            assert core_checksum(attached) == core_checksum(core)
-            assert attached.n == core.n
-            assert attached.param_groups == core.param_groups
-            assert attached.resource_names() == core.resource_names()
-            # the attached arrays are zero-copy views, enforced read-only
-            assert not attached.op_res.flags.writeable
-            with pytest.raises(ValueError):
-                attached.op_res[0] = 1
-            # simulations on the attached core are bit-identical
-            cfg = SimConfig(iterations=1, seed=4)
-            a = SimVariant(core, None, cfg).run_iteration(0)
-            b = SimVariant(attached, None, cfg).run_iteration(0)
-            assert a.makespan == b.makespan
-            assert np.array_equal(a.start, b.start)
-            assert np.array_equal(a.end, b.end)
-        finally:
-            sharedcore.detach_all()
-            handle.unlink()
-        assert_unlinked([handle.shm_name])
-
-    def test_attach_is_cached_per_process(self):
-        core = make_core()
-        handle = sharedcore.publish(core, meta={})
-        try:
-            first, _ = sharedcore.attach(handle)
-            again, _ = sharedcore.attach(handle)
-            assert first is again
-        finally:
-            sharedcore.detach_all()
-            handle.unlink()
-
-    def test_unlink_is_idempotent(self):
-        handle = sharedcore.publish(make_core(), meta={})
-        assert handle.shm_name in sharedcore.leaked_segments()
-        handle.unlink()
-        handle.unlink()  # second call is a no-op, not an error
-        assert_unlinked([handle.shm_name])
-
-    def test_workers_see_identical_cores(self):
-        """Every pool worker attaches the same bytes the parent published."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        core = make_core()
-        handle = sharedcore.publish(core, meta={})
-        want = core_checksum(core)
-        try:
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                got = list(pool.map(_attach_checksum, [handle] * 4))
-            assert {checksum for _pid_, checksum in got} == {want}
-            assert len({pid for pid, _ in got}) >= 1  # ran somewhere real
-        finally:
-            handle.unlink()
-        assert_unlinked([handle.shm_name])
 
 
 # ----------------------------------------------------------------------
@@ -154,23 +55,34 @@ class TestSharedSweep:
         serial = SweepRunner(jobs=1).run_cells(cells)
         with SweepRunner(jobs=2) as runner:
             parallel = runner.run_cells(cells)
-            assert runner._group_cores  # the multi-cell group was published
-            # cross-call reuse: same grid again attaches, not recompiles
-            published = {
-                k: p.handle.shm_name for k, p in runner._group_cores.items()
-            }
+            # two groups on two workers: one task per group
+            assert runner.telemetry.get("groups_run") == 2
+            # a second call on the same runner recomputes identically
             again = runner.run_cells(cells)
-            assert {
-                k: p.handle.shm_name for k, p in runner._group_cores.items()
-            } == published
         assert_results_identical(serial, parallel)
         assert_results_identical(serial, again)
-        assert_unlinked(published.values())
+
+    def test_single_group_batch_splits_into_chunks(self):
+        """A 12-cell single-group batch on two workers runs as two
+        strided chunks, bit-identical to the serial run."""
+        spec = ClusterSpec(2, 1, "training")
+        cells = [
+            SimCell(model="AlexNet v2", spec=spec, algorithm=a,
+                    config=CFG.with_(seed=s))
+            for a in ("baseline", "tic", "tac")
+            for s in range(4)
+        ]
+        serial = SweepRunner(jobs=1).run_cells(cells)
+        with SweepRunner(jobs=2) as runner:
+            parallel = runner.run_cells(cells)
+            assert runner.telemetry.get("groups_run") == 2
+        assert_results_identical(serial, parallel)
+        assert [r.algorithm for r in parallel] == [c.algorithm for c in cells]
 
     def test_reused_core_with_new_algorithm_is_not_baseline(self):
-        """Regression: a core published for {baseline, tic} must not
-        silently serve a later tic_plus/tac cell as baseline — the
-        schedule set is topped up on reuse."""
+        """Regression: a runner whose workers already simulated a group
+        for {baseline, tic} must run a later tic_plus/tac cell of the
+        same group under its own schedule, never silently as baseline."""
         spec = ClusterSpec(2, 1, "training")
         first_call = [
             SimCell(model="AlexNet v2", spec=spec, algorithm=a, config=CFG)
@@ -180,7 +92,7 @@ class TestSharedSweep:
             SimCell(model="AlexNet v2", spec=spec, algorithm=a, config=CFG)
             for a in ("tac", "tic_plus")
         ]
-        third_call = [  # single-cell batch against the published core
+        third_call = [  # single-cell batch: runs in-process
             SimCell(model="AlexNet v2", spec=spec, algorithm="tac",
                     config=CFG.with_(seed=5))
         ]
@@ -189,32 +101,16 @@ class TestSharedSweep:
         )
         with SweepRunner(jobs=2) as runner:
             got = runner.run_cells(first_call)
-            got += runner.run_cells(second_call)  # reuses the published core
-            got += runner.run_cells(third_call)  # 1 pending cell, still shared
-            assert len(runner._group_cores) == 1  # never republished
+            got += runner.run_cells(second_call)
+            got += runner.run_cells(third_call)
         assert_results_identical(serial, got)
         assert [r.algorithm for r in got] == [
             "baseline", "tic", "tac", "tic_plus", "tac",
         ]
 
-    def test_batched_lane_equals_per_cell_lane(self):
-        """The batched phase-B lane (chunks of a group's cells per
-        worker task) is bit-identical to one task per cell, and
-        telemetry shows which lane ran."""
-        cells = grid_cells()
-        with SweepRunner(jobs=2, batch_cells=False) as per_cell:
-            dispatched = per_cell.run_cells(cells)
-            assert per_cell.telemetry.get("shared_batch_tasks") == 0
-            assert per_cell.telemetry.get("shared_cell_tasks") > 0
-        with SweepRunner(jobs=2) as batched:  # batch_cells defaults on
-            fanned = batched.run_cells(cells)
-            assert batched.telemetry.get("shared_batch_tasks") > 0
-        assert_results_identical(dispatched, fanned)
-
     def test_batched_group_with_wizarded_algorithm_never_baseline(self):
-        """ISSUE 8 regression: a batched group whose schedule was JUST
-        wizarded (phase A of the same run_cells call) must carry that
-        schedule into the batched task — never silently run baseline."""
+        """A group split into chunks across workers must wizard each
+        chunk's scheduled cells — never silently run them as baseline."""
         spec = ClusterSpec(2, 1, "training")
         cells = [
             SimCell(model="AlexNet v2", spec=spec, algorithm=a, config=CFG)
@@ -223,13 +119,11 @@ class TestSharedSweep:
         serial = SweepRunner(jobs=1).run_cells(cells)
         with SweepRunner(jobs=2) as runner:
             got = runner.run_cells(cells)
-            assert runner.telemetry.get("shared_batch_tasks") > 0
-            # top-up reuse stays correct through the batched lane too
+            assert runner.telemetry.get("groups_run") == 2  # two chunks
             more = runner.run_cells(
                 [SimCell(model="AlexNet v2", spec=spec, algorithm="tac",
                          config=CFG.with_(seed=5))]
             )
-            assert len(runner._group_cores) == 1
         assert [r.algorithm for r in got] == ["baseline", "tic", "tac",
                                               "tic_plus"]
         assert more[0].algorithm == "tac"
@@ -238,14 +132,6 @@ class TestSharedSweep:
         # equality here would mean the schedule was dropped in transit
         base, tic = got[0], got[1]
         assert base.iteration_times.tolist() != tic.iteration_times.tolist()
-
-    def test_shared_matches_legacy_grouped_path(self):
-        cells = grid_cells()
-        with SweepRunner(jobs=2, share_cores=False) as legacy:
-            grouped = legacy.run_cells(cells)
-        with SweepRunner(jobs=2) as shared:
-            fanned = shared.run_cells(cells)
-        assert_results_identical(grouped, fanned)
 
     def test_cached_shared_and_serial_share_entries(self, tmp_path):
         cells = grid_cells()
@@ -258,12 +144,10 @@ class TestSharedSweep:
         assert_results_identical(fresh, hits)
 
     def test_failed_group_prep_leaks_nothing(self):
-        """A wizard failure during group prep must not strand a published
-        block (the wizard runs before publish; an unreachable handle
-        could never be unlinked). The resilient runner quarantines the
-        failing cell after its retries and completes the rest of the
-        batch instead of raising."""
-        before = set(sharedcore.leaked_segments())
+        """A wizard failure in one chunk of a group leaks nothing into
+        the rest of the batch: the healthy cell completes without a
+        retry, and the poisoned cell is quarantined after its retries
+        instead of raising."""
         cells = [
             SimCell(model="AlexNet v2", spec=ClusterSpec(2, 1, "training"),
                     algorithm=a, config=CFG)
@@ -279,19 +163,16 @@ class TestSharedSweep:
             assert "nonexistent_algo" in error
             counters = runner.telemetry.as_dict()
             assert counters["quarantined"] == 1
-            assert counters["retries"] >= 1
-        assert set(sharedcore.leaked_segments()) <= before
+            # one group, two workers: each cell is its own chunk, so
+            # only the poisoned cell is ever retried
+            assert counters["retries"] == runner.max_retries
+        serial = SweepRunner(jobs=1).run_cells(cells[:1])
+        assert_results_identical(serial, results[:1])
 
-    def test_close_unlinks_published_cores(self):
-        runner = SweepRunner(jobs=2)
-        runner.run_cells(grid_cells())
-        names = [p.handle.shm_name for p in runner._group_cores.values()]
-        assert names
-        live = set(sharedcore.leaked_segments())
-        assert set(names) <= live
-        runner.close()
-        assert runner._group_cores == {}
-        assert_unlinked(names)
+    @pytest.mark.parametrize("knob", ["share_cores", "batch_cells"])
+    def test_removed_lane_knobs_are_rejected(self, knob):
+        with pytest.raises(TypeError):
+            SweepRunner(jobs=2, **{knob: False})
 
     def test_pool_is_persistent_across_maps(self):
         with SweepRunner(jobs=2) as runner:
@@ -316,42 +197,3 @@ class TestSharedSweep:
             )
             assert runner._pool is pool  # same pool, not a fresh spawn
             assert os.getpid() not in values  # ran on workers, not inline
-
-
-def test_crashed_sweep_leaves_no_segments(tmp_path):
-    """A sweep that dies mid-run must not leak /dev/shm blocks: the
-    runner's atexit hook unlinks everything it published."""
-    script = textwrap.dedent(
-        """
-        import sys
-        from repro.ps import ClusterSpec
-        from repro.sim import SimConfig
-        from repro.sweep import SimCell, SweepRunner, sharedcore
-
-        cells = [
-            SimCell(model="AlexNet v2", spec=ClusterSpec(2, 1, "training"),
-                    algorithm=a, config=SimConfig(iterations=1))
-            for a in ("baseline", "tic")
-        ]
-        runner = SweepRunner(jobs=2)
-        runner.run_cells(cells)
-        mine = [p.handle.shm_name for p in runner._group_cores.values()]
-        assert mine and set(mine) <= set(sharedcore.leaked_segments())
-        print("LIVE", *mine, flush=True)
-        raise RuntimeError("simulated crash before close()")
-        """
-    )
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode != 0
-    assert "simulated crash" in proc.stderr
-    live = [ln for ln in proc.stdout.splitlines() if ln.startswith("LIVE")]
-    # blocks named by the crashed process existed mid-run...
-    names = live[0].split()[1:]
-    assert names
-    # ...and its atexit hook removed them on the way down
-    assert not (set(names) & set(sharedcore.leaked_segments()))
