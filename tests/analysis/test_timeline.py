@@ -1,8 +1,12 @@
-"""Timeline rendering (ASCII Gantt)."""
+"""Timeline rendering (ASCII Gantt) and Chrome-trace export."""
+
+import json
 
 import pytest
 
 from repro.analysis import ascii_gantt
+from repro.obs import Trace
+from repro.obs.export import chrome_trace
 from repro.ps import ClusterSpec, build_cluster_graph
 from repro.sim import CompiledCore, SimConfig, SimVariant
 
@@ -13,7 +17,9 @@ from ..sim.test_engine import FLAT
 @pytest.fixture(scope="module")
 def run():
     cluster = build_cluster_graph(tiny_model(), ClusterSpec(2, 1, "training"))
-    sim = SimVariant(CompiledCore(cluster, FLAT), None, SimConfig(iterations=1))
+    sim = SimVariant(
+        CompiledCore(cluster, FLAT), None, SimConfig(iterations=1, trace=True)
+    )
     return sim, sim.run_iteration(0)
 
 
@@ -40,3 +46,13 @@ def test_gantt_width_respected(run):
     assert all(l.count("|") == 2 for l in bars)
     inner = bars[0].split("|")[1]
     assert len(inner) == 40
+
+
+def test_write_chrome_trace_roundtrip(run, tmp_path):
+    sim, record = run
+    path = str(tmp_path / "trace.json")
+    doc = chrome_trace(Trace.from_record(sim, record), path)
+    with open(path) as fh:
+        data = json.load(fh)
+    assert data == doc
+    assert len(data["traceEvents"]) > 10
