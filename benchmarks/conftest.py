@@ -19,24 +19,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import execute_scenario, make_context
+from repro.api import Session
 
 
 @pytest.fixture(scope="session")
-def ctx():
-    """Shared experiment context for the whole benchmark session."""
-    return make_context(verbose=False)
+def session():
+    """Shared session for the whole benchmark run (scale, jobs and cache
+    from ``REPRO_*``); closed — worker pool shut down — at the end."""
+    with Session(scale=None) as shared:
+        yield shared
 
 
 @pytest.fixture(scope="session")
-def run_scenario(ctx):
-    """Execute a registry scenario through the repro.api engine and
-    persist its CSVs under ``results/`` — what the deprecated
-    ``experiments.<driver>.run(ctx)`` entries used to do."""
+def run_scenario(session):
+    """Run a registry scenario on the shared session and persist its
+    CSVs under ``results/``."""
 
     def run(name: str, **overrides):
-        out = execute_scenario(ctx, name, **overrides)
-        out.save(ctx.results_dir)
+        out = session.run(name, **overrides)
+        session.save(out)
         return out
 
     return run

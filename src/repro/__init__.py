@@ -24,7 +24,7 @@ Subpackages
     The stable public facade: ``Session``/``Scenario``/``ResultSet`` and
     the declarative scenario registry regenerating every table/figure.
 ``repro.experiments``
-    Deprecated driver shims over ``repro.api`` (and the CLI shell).
+    The ``tictac-repro`` command-line shell over ``repro.api``.
 ``repro.analysis``
     Statistics helpers (regression, CDFs, summaries) and text rendering.
 """

@@ -33,11 +33,9 @@ from .context import (
     QUICK,
     QUICK_MODELS,
     SCALES,
-    Context,
     Scale,
-    make_context,
 )
-from .engine import ScenarioRun, execute_scenario
+from .engine import ScenarioRun
 from .jobmix_scenarios import JobMixScenario
 
 # Deliberately after jobmix_scenarios (whose import pulls the built-in
@@ -60,7 +58,6 @@ from .scenario import Grid, Scenario, ScenarioError
 from .session import Session
 
 __all__ = [
-    "Context",
     "FIG7_MODELS",
     "FULL",
     "Grid",
@@ -81,9 +78,7 @@ __all__ = [
     "UnknownScenarioError",
     "analysis",
     "analysis_names",
-    "execute_scenario",
     "iter_scenarios",
-    "make_context",
     "register_analysis",
     "register_scenario",
     "scenario",

@@ -1,4 +1,4 @@
-"""Execution context and scale protocol for scenario runs.
+"""The scale protocol for scenario runs.
 
 Every scenario runs at one of two scales:
 
@@ -8,21 +8,12 @@ Every scenario runs at one of two scales:
   iterations after 2 warm-up, 1000-run consistency study). Select with
   ``REPRO_SCALE=full`` or ``--full`` on the CLI.
 
-:class:`Context` owns the shared :class:`~repro.sweep.SweepRunner`
-(worker pool, on-disk result cache) for one run of one or
-more scenarios. :class:`~repro.api.Session` is the public facade over it;
-the legacy ``repro.experiments.common`` module re-exports everything here
-for backward compatibility.
+A :class:`~repro.api.Session` runs every scenario at one :class:`Scale`.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Optional
-
-from ..sim import SimConfig
-from ..sweep import SweepRunner
+from dataclasses import dataclass
 
 #: Fig. 7's model set (the paper's nine; Table 1 lists ten — ResNet-101 v2
 #: appears only in Table 1).
@@ -84,121 +75,3 @@ FULL = Scale(
 
 #: Named scales a :class:`~repro.api.Session` accepts.
 SCALES: dict[str, Scale] = {"quick": QUICK, "full": FULL}
-
-
-@dataclass
-class Context:
-    """Execution context every scenario runs against.
-
-    ``jobs``/``use_cache``/``rerun`` configure the shared
-    :class:`~repro.sweep.SweepRunner` every scenario submits its grid to:
-    ``jobs`` fans cells out across processes, the cache (default
-    ``<results_dir>/.sweep-cache``) lets re-runs and overlapping scenarios
-    skip already-simulated cells, and ``rerun`` forces recomputation.
-    """
-
-    scale: Scale = field(default_factory=lambda: QUICK)
-    results_dir: str = "results"
-    seed: int = 0
-    verbose: bool = True
-    jobs: int = 1
-    use_cache: bool = True
-    rerun: bool = False
-    cache_dir: Optional[str] = None
-    #: size cap (MiB) for the sweep cache; ``None`` keeps entries forever.
-    #: Enforced by :meth:`gc_cache` after a CLI run (LRU eviction).
-    cache_max_mb: Optional[float] = None
-    _sweep: Optional[SweepRunner] = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def sweep(self) -> SweepRunner:
-        """The lazily-created sweep runner shared by this context."""
-        if self._sweep is None:
-            cache_dir = None
-            if self.use_cache:
-                cache_dir = self.cache_dir or os.path.join(
-                    self.results_dir, ".sweep-cache"
-                )
-            self._sweep = SweepRunner(
-                jobs=self.jobs, cache_dir=cache_dir, rerun=self.rerun
-            )
-        return self._sweep
-
-    def close(self) -> None:
-        """Release the sweep runner's worker pool.
-
-        The CLI and :class:`~repro.api.Session` call this from a
-        ``finally``/``__exit__`` so pool workers never outlive the run
-        (the runner's own ``atexit`` hook is the backstop for embedders
-        that skip it)."""
-        runner, self._sweep = self._sweep, None
-        if runner is not None:
-            runner.close()
-
-    def gc_cache(self) -> Optional[dict]:
-        """Apply the ``cache_max_mb`` cap to the on-disk sweep cache
-        (no-op when no cap is configured).
-
-        Operates on the cache directory directly, so an explicitly
-        requested eviction works even when this run did not use the cache
-        (``--no-cache`` / ``REPRO_NO_CACHE=1``).
-        """
-        if self.cache_max_mb is None:
-            return None
-        if self.use_cache:
-            runner = self.sweep
-        else:  # --no-cache run: point a throwaway runner at the directory
-            cache_dir = self.cache_dir or os.path.join(
-                self.results_dir, ".sweep-cache"
-            )
-            runner = SweepRunner(cache_dir=cache_dir)
-        summary = runner.gc_cache(self.cache_max_mb)
-        if summary is None:  # pragma: no cover - runner without a cache dir
-            return None
-        self.log(
-            f"sweep cache gc: removed {summary['entries_removed']} "
-            f"entries ({summary['bytes_removed'] / 2**20:.1f} MiB), "
-            f"kept {summary['entries_kept']} "
-            f"({summary['bytes_kept'] / 2**20:.1f} MiB <= "
-            f"{self.cache_max_mb:.0f} MiB cap)"
-        )
-        return summary
-
-    def sim_config(self, **overrides) -> SimConfig:
-        base = dict(
-            seed=self.seed,
-            iterations=self.scale.iterations,
-            warmup=self.scale.warmup,
-        )
-        base.update(overrides)
-        return SimConfig(**base)
-
-    def log(self, message: str) -> None:
-        if self.verbose:
-            print(message, flush=True)
-
-
-def make_context(
-    full: Optional[bool] = None,
-    results_dir: str = "results",
-    jobs: Optional[int] = None,
-    **kwargs,
-) -> Context:
-    """Build a context; ``full=None`` consults ``REPRO_SCALE``/``REPRO_FULL``,
-    ``jobs=None`` consults ``REPRO_JOBS`` (default 1),
-    ``REPRO_NO_CACHE=1`` disables the sweep cache, and
-    ``REPRO_CACHE_MAX_MB`` caps its size (LRU eviction after each run)."""
-    if full is None:
-        env = os.environ.get("REPRO_SCALE", "").lower()
-        full = env == "full" or os.environ.get("REPRO_FULL", "") == "1"
-    if jobs is None:
-        jobs = int(os.environ.get("REPRO_JOBS", "1"))
-    if "use_cache" not in kwargs and os.environ.get("REPRO_NO_CACHE", "") == "1":
-        kwargs["use_cache"] = False
-    if "cache_max_mb" not in kwargs and os.environ.get("REPRO_CACHE_MAX_MB"):
-        kwargs["cache_max_mb"] = float(os.environ["REPRO_CACHE_MAX_MB"])
-    return Context(
-        scale=FULL if full else QUICK, results_dir=results_dir, jobs=jobs, **kwargs
-    )

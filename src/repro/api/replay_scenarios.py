@@ -81,7 +81,7 @@ def _replay(run: ScenarioRun) -> Report:
     rp: ReplayScenario = run.param("replay")
     traces = generate_trace(rp.trace, seed=run.seed)
     jobs_stem = f"{run.scenario.output}_jobs"
-    jobs_path = os.path.join(run.ctx.results_dir, f"{jobs_stem}.csv")
+    jobs_path = os.path.join(run.session.results_dir, f"{jobs_stem}.csv")
     aggregate = ReplayAggregate(rp.cluster.total_slots)
     sink = CsvChunkSink(
         jobs_path, JOB_COLUMNS, chunk_rows=rp.chunk_rows, aggregate=aggregate

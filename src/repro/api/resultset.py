@@ -135,8 +135,8 @@ class ResultSet:
     def save(self, results_dir: str = "results") -> dict[str, str]:
         """``to_csv`` plus the scenario's declared extras aliases: tables
         named in ``Scenario.extras_csv`` get their written path recorded
-        under the legacy extras key (e.g. ``wire_check_csv``), which the
-        deprecated driver shims and their callers rely on."""
+        under the declared extras key (e.g. ``wire_check_csv``), so a
+        caller finds an auxiliary CSV without rebuilding its path."""
         paths = self.to_csv(results_dir)
         for key, table in self.scenario.extras_csv:
             self.extras[key] = paths[table]

@@ -121,7 +121,7 @@ class Grid:
     ) -> list[SimCell]:
         """Expand to cells: ``make_config(**sim_overrides)`` builds the
         shared :class:`~repro.sim.config.SimConfig` (normally
-        ``Context.sim_config``)."""
+        ``Session.sim_config``)."""
         ps = _interp(self.ps, params)
         spec = GridSpec(
             models=self.resolve_models(scale, params),

@@ -30,14 +30,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from ..api.context import make_context
-from ..api.engine import execute_scenario
 from ..api.registry import (
     UnknownScenarioError,
     iter_scenarios,
     scenario,
     scenario_names,
 )
+from ..api.session import Session
 
 
 #: exporter name -> one-line description for the listing.
@@ -266,6 +265,18 @@ def replay_main(argv: Sequence[str]) -> int:
     except (TraceError, ReplayError, KeyError) as exc:
         parser.error(str(exc))
 
+    try:
+        session = Session(
+            scale="quick",  # replay rates are scale-independent (1-iteration cells)
+            results_dir=args.results_dir,
+            seed=args.seed,
+            jobs=args.jobs,
+            cache=not args.no_cache,
+            verbose=not args.quiet,
+        )
+    except ValueError as exc:  # unparsable $REPRO_* value
+        parser.error(str(exc))
+
     ext = "parquet" if args.sink == "parquet" else "csv"
     out = args.out or os.path.join(args.results_dir, f"replay_jobs.{ext}")
     summary_out = args.summary_out or os.path.join(
@@ -287,25 +298,17 @@ def replay_main(argv: Sequence[str]) -> int:
     except (UnknownSinkError, SinkError) as exc:
         parser.error(str(exc))
 
-    ctx = make_context(
-        full=False,  # replay rates are scale-independent (1-iteration cells)
-        results_dir=args.results_dir,
-        seed=args.seed,
-        verbose=not args.quiet,
-        jobs=args.jobs,
-        **({"use_cache": False} if args.no_cache else {}),
-    )
-    try:
+    with session:
         try:
             result = replay(
                 traces,
                 cluster,
-                runner=ctx.sweep,
+                runner=session.sweep,
                 algorithm=args.algorithm,
                 admission=args.admission,
-                config=ctx.sim_config(),
+                config=session.sim_config(),
                 sink=sink,
-                log=ctx.log,
+                log=session.log,
             )
         except (ReplayError, UnknownAdmissionError) as exc:
             sink.close(complete=False)
@@ -324,8 +327,6 @@ def replay_main(argv: Sequence[str]) -> int:
             print(f"  jobs    -> {info['path']} ({info['rows']} rows, "
                   f"{info['chunks']} chunks)")
             print(f"  summary -> {summary_out}")
-    finally:
-        ctx.close()
     return 0
 
 
@@ -396,31 +397,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else list(args.experiments)
     )
 
-    full = True if args.full else (False if args.quick else None)
-    ctx = make_context(
-        full=full,
-        results_dir=args.results_dir,
-        seed=args.seed,
-        verbose=not args.quiet,
-        jobs=args.jobs,
-        rerun=args.rerun,
-        **({"use_cache": False} if args.no_cache else {}),
-        **({"cache_max_mb": args.cache_max_mb}
-           if args.cache_max_mb is not None else {}),
-    )
     try:
+        session = Session(
+            scale="full" if args.full else ("quick" if args.quick else None),
+            results_dir=args.results_dir,
+            seed=args.seed,
+            jobs=args.jobs,
+            cache=not args.no_cache,
+            rerun=args.rerun,
+            verbose=not args.quiet,
+            cache_max_mb=args.cache_max_mb,
+        )
+    except ValueError as exc:  # unknown $REPRO_SCALE, unparsable number
+        parser.error(str(exc))
+    with session:
         for name in names:
-            ctx.log(f"=== {name} (scale={ctx.scale.name}, jobs={ctx.jobs}) ===")
-            result = execute_scenario(ctx, scenario(name))
-            paths = result.save(ctx.results_dir)
-            ctx.log(f"[{result.name}] csv -> {paths[result.name]}")
-        if names and ctx.use_cache:
-            ctx.log(f"sweep cache: {ctx.sweep.stats.as_dict()}")
-        if args.cache_gc and ctx.cache_max_mb is None:
-            ctx.cache_max_mb = 0.0  # explicit GC with no cap empties the cache
-        ctx.gc_cache()
-    finally:
-        ctx.close()
+            session.log(
+                f"=== {name} (scale={session.scale.name}, jobs={session.jobs}) ==="
+            )
+            result = session.run(name)
+            paths = session.save(result)
+            session.log(f"[{result.name}] csv -> {paths[result.name]}")
+        if names and session.cache_dir is not None:
+            session.log(f"sweep cache: {session.sweep.stats.as_dict()}")
+        if args.cache_gc and session.cache_max_mb is None:
+            session.cache_max_mb = 0.0  # explicit GC with no cap empties the cache
     return 0
 
 

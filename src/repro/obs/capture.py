@@ -99,27 +99,29 @@ def capture_trace(
     cells, listing the traceable ones.
     """
     from ..api import registry
-    from ..api.context import SCALES, Context
+    from ..api.session import Session
 
     if isinstance(scenario, str):
         scenario = registry.scenario(scenario)
     params = scenario.bind(**overrides)
-    ctx = Context(scale=SCALES[scale], seed=seed, verbose=False)
-    cells = scenario_cells(scenario, ctx.scale, params, ctx.sim_config)
-    if not cells:
-        traceable = [
-            name
-            for name in registry.scenario_names()
-            if scenario_cells(
-                registry.scenario(name),
-                ctx.scale,
-                dict(registry.scenario(name).params),
-                ctx.sim_config,
+    # a trace runs no sweep: no pool, no cache, nothing to evict on close
+    with Session(scale=scale, seed=seed, jobs=1, cache=False) as session:
+        session.cache_max_mb = None
+        cells = scenario_cells(scenario, session.scale, params, session.sim_config)
+        if not cells:
+            traceable = [
+                name
+                for name in registry.scenario_names()
+                if scenario_cells(
+                    registry.scenario(name),
+                    session.scale,
+                    dict(registry.scenario(name).params),
+                    session.sim_config,
+                )
+            ]
+            raise ValueError(
+                f"scenario {scenario.name!r} expands to no simulation cells; "
+                f"traceable scenarios: {traceable}"
             )
-        ]
-        raise ValueError(
-            f"scenario {scenario.name!r} expands to no simulation cells; "
-            f"traceable scenarios: {traceable}"
-        )
     cell = cells[cell_index % len(cells)]
     return trace_cell(cell, iteration=iteration)

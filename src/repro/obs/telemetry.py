@@ -7,7 +7,7 @@ cache, or actually simulated; how many compile-once group tasks that
 took; how much worker wall time the simulations consumed and how busy
 that kept the pool. The :class:`~repro.sweep.runner.SweepRunner`
 owns one instance and increments it as batches flow through;
-:func:`repro.api.engine.execute_scenario` snapshots it around each
+:meth:`repro.api.Session.run` snapshots it around each
 scenario and publishes the delta as ``ResultSet.telemetry``.
 
 Counters are plain floats in a flat namespace — cheap enough to leave on

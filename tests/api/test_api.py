@@ -10,12 +10,11 @@ from repro.api import (
     ScenarioError,
     Session,
     UnknownScenarioError,
-    execute_scenario,
     register_analysis,
     scenario,
     scenario_names,
 )
-from repro.api.context import Context, Scale
+from repro.api.context import Scale
 from repro.sim.engine import ENGINE_REV
 
 MICRO = Scale(
@@ -31,8 +30,9 @@ MICRO = Scale(
 
 
 @pytest.fixture
-def ctx(tmp_path):
-    return Context(scale=MICRO, results_dir=str(tmp_path), verbose=False)
+def session(tmp_path):
+    with Session(scale=MICRO, results_dir=str(tmp_path), jobs=1) as session:
+        yield session
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_unknown_scenario_suggests_near_matches():
     assert "fig7" in str(exc.value)
 
 
-def test_register_scenario_makes_it_runnable(ctx):
+def test_register_scenario_makes_it_runnable(session):
     @register_analysis("_test_tiny")
     def _tiny(run):
         from repro.api import Report
@@ -130,7 +130,7 @@ def test_register_scenario_makes_it_runnable(ctx):
         analyze="_test_tiny", backends=(), platforms=(), models=(),
         params=(("p", 1),),
     )
-    out = execute_scenario(ctx, sc, p=7)
+    out = session.run(sc, p=7)
     assert out.rows == [{"p": 7}]
 
 
@@ -138,21 +138,21 @@ def test_register_scenario_makes_it_runnable(ctx):
 # Grid resolution mirrors the legacy drivers exactly
 # ----------------------------------------------------------------------
 
-def test_fig7_grid_resolution_matches_legacy_gridspec(ctx):
+def test_fig7_grid_resolution_matches_legacy_gridspec(session):
     from repro.api.scenarios import FIG7_GRID
     from repro.sweep import GridSpec
 
     sc = scenario("fig7")
-    cells = sc.grid.resolve(ctx.scale, sc.bind(), ctx.sim_config)
+    cells = sc.grid.resolve(session.scale, sc.bind(), session.sim_config)
     # the grid the deleted fig7 driver built, spelled out
     legacy = GridSpec(
-        models=ctx.scale.models,
+        models=session.scale.models,
         workloads=FIG7_GRID.workloads,
-        worker_counts=ctx.scale.worker_counts,
+        worker_counts=session.scale.worker_counts,
         ps_from_workers=True,
         algorithms=("tic",),
         platforms=FIG7_GRID.platforms,
-    ).cells(ctx.sim_config())
+    ).cells(session.sim_config())
     assert cells == legacy
 
 
@@ -172,15 +172,15 @@ def test_fig9_quick_clamp_only_applies_at_quick_scale():
 # ResultSet: schema, round-trip, provenance
 # ----------------------------------------------------------------------
 
-def test_resultset_schema_and_table(ctx):
-    out = execute_scenario(ctx, "table1")
+def test_resultset_schema_and_table(session):
+    out = session.run("table1")
     assert out.schema[:2] == ("model", "params")
     assert "params_paper" in out.to_table()
     assert len(out) == len(out.rows)
 
 
-def test_resultset_csv_round_trip(ctx, tmp_path):
-    out = execute_scenario(ctx, "table1")
+def test_resultset_csv_round_trip(session, tmp_path):
+    out = session.run("table1")
     paths = out.to_csv(str(tmp_path))
     with open(paths[out.name], newline="") as fh:
         reread = list(csv.DictReader(fh))
@@ -191,10 +191,10 @@ def test_resultset_csv_round_trip(ctx, tmp_path):
     assert tuple(reread[0].keys()) == out.schema
 
 
-def test_resultset_aux_tables_and_save_aliases(ctx, tmp_path):
+def test_resultset_aux_tables_and_save_aliases(session, tmp_path):
     import os
 
-    out = execute_scenario(ctx, "allreduce")
+    out = session.run("allreduce")
     assert set(out.tables) == {"allreduce_wire_check", "allreduce_vs_ps"}
     assert out.table_names()[0] == "allreduce_comparison"
     with pytest.raises(KeyError, match="no table"):
@@ -204,8 +204,8 @@ def test_resultset_aux_tables_and_save_aliases(ctx, tmp_path):
     assert out.extras["vs_ps_csv"] == paths["allreduce_vs_ps"]
 
 
-def test_resultset_frame_is_columnar(ctx):
-    out = execute_scenario(ctx, "table1")
+def test_resultset_frame_is_columnar(session):
+    out = session.run("table1")
     frame = out.frame()
     # no pandas in the test environment -> plain columnar dict
     assert isinstance(frame, dict)
@@ -213,8 +213,8 @@ def test_resultset_frame_is_columnar(ctx):
     assert len(frame["model"]) == len(out.rows)
 
 
-def test_provenance_fields(ctx):
-    out = execute_scenario(ctx, "stragglers")
+def test_provenance_fields(session):
+    out = session.run("stragglers")
     prov = out.provenance
     assert prov.scenario == "stragglers"
     assert prov.scale == "micro"
@@ -232,9 +232,9 @@ def test_provenance_fields(ctx):
 
 
 def test_provenance_reports_cache_hits_on_rerun(tmp_path):
-    ctx = Context(scale=MICRO, results_dir=str(tmp_path), verbose=False)
-    cold = execute_scenario(ctx, "stragglers")
-    warm = execute_scenario(ctx, "stragglers")
+    with Session(scale=MICRO, results_dir=str(tmp_path), jobs=1) as session:
+        cold = session.run("stragglers")
+        warm = session.run("stragglers")
     assert cold.provenance.cache["misses"] > 0
     assert warm.provenance.cache["misses"] == 0
     assert warm.provenance.cache["hits"] > 0
@@ -252,7 +252,7 @@ def test_session_runs_by_name_and_closes(tmp_path):
         assert session.scale.name == "micro"
         runner = session.sweep
     # __exit__ released the runner
-    assert session.context._sweep is None
+    assert session._sweep is None
     assert runner._pool is None
 
 
@@ -293,18 +293,17 @@ def test_session_explicit_cache_dir_beats_env(tmp_path, monkeypatch):
     with Session(
         scale=MICRO, results_dir=str(tmp_path), cache=str(tmp_path / "c")
     ) as session:
-        assert session.context.use_cache is True
-        assert session.context.cache_dir == str(tmp_path / "c")
+        assert session.cache_dir == str(tmp_path / "c")
     with Session(scale=MICRO, results_dir=str(tmp_path)) as session:
         # the default (cache=True) still honours the ambient env toggle
-        assert session.context.use_cache is False
+        assert session.cache_dir is None
 
 
 def test_session_named_scales_and_overrides(tmp_path):
     session = Session(scale="quick", results_dir=str(tmp_path), cache=False)
     try:
         assert session.scale.name == "quick"
-        assert session.context.use_cache is False
+        assert session.cache_dir is None
     finally:
         session.close()
     with pytest.raises(ValueError, match="unknown scale"):

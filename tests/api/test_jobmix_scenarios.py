@@ -6,9 +6,8 @@ import os
 
 import pytest
 
-from repro.api import JobMixScenario, execute_scenario, scenario
+from repro.api import JobMixScenario, Scale, Session, scenario
 from repro.api.jobmix_scenarios import CONTENTION_MIX, CROSSTALK_MIX, _jain
-from repro.experiments import Context, Scale
 from repro.sim import JobSpec
 
 MICRO = Scale(
@@ -24,8 +23,9 @@ MICRO = Scale(
 
 
 @pytest.fixture
-def ctx(tmp_path):
-    return Context(scale=MICRO, results_dir=str(tmp_path), verbose=False)
+def session(tmp_path):
+    with Session(scale=MICRO, results_dir=str(tmp_path), jobs=1) as session:
+        yield session
 
 
 def test_jain_index_bounds():
@@ -44,11 +44,11 @@ def test_jobmix_scenario_helper_surface():
     assert {c.spec.placement for c in cells} == {"dedicated", "packed", "spread"}
 
 
-def test_contention_scenario_meets_acceptance_bar(ctx):
+def test_contention_scenario_meets_acceptance_bar(session):
     """The PR's acceptance criterion: the contended (packed) makespan
     strictly exceeds each job's dedicated makespan on the contention
     platform, and the CSVs carry per-job JCT/slowdown + fairness."""
-    out = execute_scenario(ctx, "jobmix_contention")
+    out = session.run("jobmix_contention")
     rows = out.rows
     summary = out.tables["jobmix_contention_summary"]
 
@@ -68,14 +68,14 @@ def test_contention_scenario_meets_acceptance_bar(ctx):
     for r in summary:
         assert 1.0 / len(CONTENTION_MIX.jobs) <= r["jain_fairness"] <= 1.0
 
-    paths = out.save(ctx.results_dir)
+    paths = out.save(session.results_dir)
     assert os.path.exists(paths["jobmix_contention"])
     assert os.path.exists(paths["jobmix_contention_summary"])
     assert out.extras["summary_csv"] == paths["jobmix_contention_summary"]
 
 
-def test_crosstalk_scenario_scheduling_survives_contention(ctx):
-    out = execute_scenario(ctx, "jobmix_crosstalk")
+def test_crosstalk_scenario_scheduling_survives_contention(session):
+    out = session.run("jobmix_crosstalk")
     rows = {(r["algorithm"], r["placement"], r["job"]): r for r in out.rows}
     # per-job dispatch ("mix") ran alongside the uniform algorithms
     assert ("mix", "packed", "j0") in rows
@@ -98,7 +98,7 @@ def test_scenario_registry_lists_jobmix_entries():
     assert dict(scenario("jobmix_crosstalk").params)["mix"] is CROSSTALK_MIX
 
 
-def test_custom_mix_through_generic_analysis(ctx):
+def test_custom_mix_through_generic_analysis(session):
     """A user-defined mix binds through the same scenario machinery."""
     custom = JobMixScenario(
         jobs=(
@@ -110,7 +110,7 @@ def test_custom_mix_through_generic_analysis(ctx):
         algorithms=("baseline",),
         n_hosts=8,
     )
-    out = execute_scenario(ctx, "jobmix_contention", mix=custom)
+    out = session.run("jobmix_contention", mix=custom)
     assert {r["placement"] for r in out.rows} == {"dedicated", "rack_aware"}
 
 

@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import execute_scenario
-from repro.experiments.common import Context, Scale
+from repro.api import Scale, Session
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -27,22 +26,14 @@ TINY_SCALE = Scale(
 )
 
 
-def tiny_context(tmp_path, **kwargs) -> Context:
-    return Context(
-        scale=TINY_SCALE,
-        results_dir=str(tmp_path),
-        use_cache=False,
-        verbose=False,
-        **kwargs,
-    )
-
-
 @pytest.fixture(scope="module")
 def driver_output(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("allreduce")
-    ctx = tiny_context(tmp)
-    out = execute_scenario(ctx, "allreduce")
-    out.extras["csv_path"] = out.save(ctx.results_dir)[out.name]
+    with Session(
+        scale=TINY_SCALE, results_dir=str(tmp), jobs=1, cache=False
+    ) as session:
+        out = session.run("allreduce")
+        out.extras["csv_path"] = session.save(out)[out.name]
     return out, tmp
 
 
@@ -82,16 +73,15 @@ def test_tac_never_slower_than_baseline(driver_output):
 
 _SUBPROCESS_SCRIPT = """
 import sys
-from repro.api import execute_scenario
-from repro.experiments.common import Context, Scale
+from repro.api import Scale, Session
 
 scale = Scale(
     name="quick", models=("AlexNet v2",), worker_counts=(2,), ps_counts=(1,),
     iterations=2, warmup=0, consistency_runs=1, loss_iterations=1,
 )
-ctx = Context(scale=scale, results_dir=sys.argv[1], use_cache=False,
-              verbose=False)
-execute_scenario(ctx, "allreduce").save(ctx.results_dir)
+with Session(scale=scale, results_dir=sys.argv[1], jobs=1,
+             cache=False) as session:
+    session.save(session.run("allreduce"))
 """
 
 

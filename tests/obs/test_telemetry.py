@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Context, Scale, registry
-from repro.api.engine import execute_scenario
+from repro.api import Scale, Session, registry
 from repro.obs.telemetry import Telemetry, memo_counters, merge_rows
 from repro.ps import ClusterSpec
 from repro.sim import SimConfig
@@ -114,16 +113,15 @@ def test_run_cells_populates_counters(tmp_path):
 # API surface: ResultSet.telemetry
 # ----------------------------------------------------------------------
 def test_execute_scenario_publishes_telemetry(tmp_path):
-    ctx = Context(scale=MICRO, results_dir=str(tmp_path), verbose=False)
-    try:
-        first = execute_scenario(ctx, registry.scenario("headline"))
+    with Session(scale=MICRO, results_dir=str(tmp_path), jobs=1) as session:
+        first = session.run(registry.scenario("headline"))
         assert first.telemetry["cells_requested"] > 0
         assert first.telemetry["cells_simulated"] > 0
         assert first.telemetry["cache_writes"] > 0
         assert first.telemetry.get("cells_cached", 0) == 0
         assert first.telemetry["run_cells_wall_s"] > 0
 
-        second = execute_scenario(ctx, registry.scenario("headline"))
+        second = session.run(registry.scenario("headline"))
         # same scenario again: everything comes back from the cache,
         # and the delta only covers the second run
         assert second.telemetry["cells_cached"] == first.telemetry[
@@ -135,5 +133,3 @@ def test_execute_scenario_publishes_telemetry(tmp_path):
         rows = second.telemetry_rows()
         assert rows == sorted(rows, key=lambda r: r["counter"])
         assert merge_rows(rows) == second.telemetry
-    finally:
-        ctx.close()

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.experiments import cli
-from repro.experiments.common import make_context
+from repro.api import Session
 from repro.sweep.cache import ResultCache, cache_key
 from repro.sweep.runner import SweepRunner
 
@@ -91,10 +91,11 @@ def test_sweep_runner_gc_passthrough(tmp_path):
 
 def test_context_cap_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_MAX_MB", "12.5")
-    ctx = make_context(results_dir=str(tmp_path))
-    assert ctx.cache_max_mb == 12.5
+    assert Session(results_dir=str(tmp_path)).cache_max_mb == 12.5
+    # an explicit cap beats the environment
+    assert Session(results_dir=str(tmp_path), cache_max_mb=3).cache_max_mb == 3
     monkeypatch.delenv("REPRO_CACHE_MAX_MB")
-    assert make_context(results_dir=str(tmp_path)).cache_max_mb is None
+    assert Session(results_dir=str(tmp_path)).cache_max_mb is None
 
 
 def test_cli_cache_gc_entry_point(tmp_path, capsys):

@@ -6,17 +6,15 @@ import csv
 
 import pytest
 
-from repro.api import execute_scenario
-from repro.experiments import Context, Scale
+from repro.api import Scale, Session
 from repro.ps import ClusterSpec
 from repro.sim import speedup_vs_baseline
 
 
-def run_fig7(ctx: Context):
-    """The scenario path every caller now goes through (the deprecated
-    ``experiments.fig7.run`` shim routes here too)."""
-    out = execute_scenario(ctx, "fig7")
-    paths = out.save(ctx.results_dir)
+def run_fig7(session: Session):
+    """The scenario path every caller goes through."""
+    out = session.run("fig7")
+    paths = session.save(out)
     return out, paths[out.name]
 
 MICRO = Scale(
@@ -31,24 +29,24 @@ MICRO = Scale(
 )
 
 
-def micro_ctx(tmp_path, **overrides) -> Context:
-    kwargs = dict(scale=MICRO, results_dir=str(tmp_path), verbose=False)
+def micro_session(tmp_path, **overrides) -> Session:
+    kwargs = dict(scale=MICRO, results_dir=str(tmp_path), jobs=1)
     kwargs.update(overrides)
-    return Context(**kwargs)
+    return Session(**kwargs)
 
 
-def seed_style_fig7_rows(ctx: Context, algorithm: str = "tic") -> list[dict]:
+def seed_style_fig7_rows(session: Session, algorithm: str = "tic") -> list[dict]:
     """The seed's original fig7 loop, kept verbatim as the reference."""
     rows = []
     for workload in ("inference", "training"):
-        for model in ctx.scale.models:
-            for w in ctx.scale.worker_counts:
+        for model in session.scale.models:
+            for w in session.scale.worker_counts:
                 spec = ClusterSpec(
                     n_workers=w, n_ps=max(1, w // 4), workload=workload
                 )
                 gain, sched, base = speedup_vs_baseline(
                     model, spec, algorithm=algorithm, platform="envG",
-                    config=ctx.sim_config(),
+                    config=session.sim_config(),
                 )
                 rows.append(
                     {
@@ -66,30 +64,32 @@ def seed_style_fig7_rows(ctx: Context, algorithm: str = "tic") -> list[dict]:
 
 @pytest.fixture(scope="module")
 def reference_rows(tmp_path_factory):
-    ctx = micro_ctx(tmp_path_factory.mktemp("ref"), use_cache=False)
-    return seed_style_fig7_rows(ctx)
+    with micro_session(tmp_path_factory.mktemp("ref"), cache=False) as session:
+        return seed_style_fig7_rows(session)
 
 
 def test_fig7_matches_seed_serial_loop(tmp_path, reference_rows):
-    out, _ = run_fig7(micro_ctx(tmp_path))
+    with micro_session(tmp_path) as session:
+        out, _ = run_fig7(session)
     assert out.rows == reference_rows
 
 
 def test_fig7_parallel_matches_serial(tmp_path, reference_rows):
-    out, _ = run_fig7(micro_ctx(tmp_path, jobs=2, use_cache=False))
+    with micro_session(tmp_path, jobs=2, cache=False) as session:
+        out, _ = run_fig7(session)
     assert out.rows == reference_rows
 
 
 def test_fig7_warm_cache_matches_and_skips_simulation(tmp_path, reference_rows):
-    cold_ctx = micro_ctx(tmp_path)
-    cold, _ = run_fig7(cold_ctx)
-    assert cold_ctx.sweep.stats.hits == 0
+    with micro_session(tmp_path) as cold_session:
+        cold, _ = run_fig7(cold_session)
+        assert cold_session.sweep.stats.hits == 0
 
-    warm_ctx = micro_ctx(tmp_path)
-    warm, warm_csv = run_fig7(warm_ctx)
-    assert warm.rows == cold.rows == reference_rows
-    assert warm_ctx.sweep.stats.misses == 0  # everything served from cache
-    assert warm_ctx.sweep.stats.hits > 0
+    with micro_session(tmp_path) as warm_session:
+        warm, warm_csv = run_fig7(warm_session)
+        assert warm.rows == cold.rows == reference_rows
+        assert warm_session.sweep.stats.misses == 0  # all served from cache
+        assert warm_session.sweep.stats.hits > 0
 
     with open(warm_csv) as fh:
         csv_rows = list(csv.DictReader(fh))
