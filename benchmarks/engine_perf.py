@@ -41,23 +41,25 @@ side-array writes behind a branch, and the untraced workloads above are
 what ``check`` gates), so this stage documents the opt-in cost instead of
 gating it; ``--update pr7`` records it in ``BENCH_engine.json``.
 
-``pr8`` measures the variant dispatch stage and ``--update pr8``
-records it under the ``pr8`` block:
+Three more stages each have a command of their own, an ``--update``
+value of the same name that records them in the ``BENCH_engine.json``
+block of that name, and a row in ``STAGES``:
 
-* ``variant_dispatch_8`` — 8 seed-variants of an AlexNet v2 2-worker
-  cluster on ONE core, 2 iterations each, as 8 ``run_iterations``
-  calls (per-second numbers are per iteration).
+* ``pr8`` — ``variant_dispatch_8``: 8 seed-variants of an AlexNet v2
+  2-worker cluster on ONE core, 2 iterations each, as 8
+  ``run_iterations`` calls (per-second numbers are per iteration).
+* ``compose`` — ``jobmix_compose``: ``CompiledCore(build_jobmix_graph(None,
+  spec), envC)`` on a warm 5-job packed mix (3 AlexNet v2 + 2 Inception
+  v1 PS jobs): the per-composition cost of a cluster replay, i.e. the
+  mix's cluster surface plus a core composed from memoized per-shape
+  cores.
+* ``graph_build`` — ``graph_build_ps_8w2ps`` and
+  ``graph_build_allreduce_8w``: ``build_cluster_graph`` (Inception v3,
+  8 workers, 2 PS) and ``build_collective_graph`` (Inception v3, 8-worker
+  ring). The builders are called directly: ``build_comm_graph`` memoizes.
 
-``compose`` measures the job-mix composition stage and ``--update
-compose`` records it under the ``compose`` block:
-
-* ``jobmix_compose`` — ``CompiledCore(build_jobmix_graph(None, spec),
-  envC)`` on a warm 5-job packed mix (3 AlexNet v2 + 2 Inception v1 PS
-  jobs): the per-composition cost of a cluster replay, i.e. the mix's
-  cluster surface plus a core composed from memoized per-shape cores.
-
-``check`` gates the committed pr8 and compose stage entries alongside
-pr4, all at the same tolerance.
+``check`` gates every committed stage block alongside pr4, all at the
+same tolerance.
 """
 
 from __future__ import annotations
@@ -167,6 +169,32 @@ def build_pr8_workloads():
     return {"variant_dispatch_8": (dispatch, 8 * iters)}
 
 
+def build_graph_build_workloads():
+    """The graph_build stage (see module docstring)."""
+    from repro.collectives import CollectiveSpec, build_collective_graph
+    from repro.models import build_model
+    from repro.ps import ClusterSpec, build_cluster_graph
+
+    ir = build_model("Inception v3")
+    return {
+        "graph_build_ps_8w2ps": (
+            lambda: build_cluster_graph(ir, ClusterSpec(8, 2)), 1
+        ),
+        "graph_build_allreduce_8w": (
+            lambda: build_collective_graph(ir, CollectiveSpec(n_workers=8)), 1
+        ),
+    }
+
+
+#: command (= ``--update`` value = BENCH_engine.json block) -> (workload
+#: builder, label) of the stages ``check`` gates next to pr4.
+STAGES = {
+    "pr8": (build_pr8_workloads, "variant dispatch"),
+    "compose": (build_compose_workloads, "job-mix core composition"),
+    "graph_build": (build_graph_build_workloads, "cluster graph build"),
+}
+
+
 def _calibration_kernel() -> float:
     """Engine-independent host-speed probe: the same interpreter/numpy
     operation mix the event loop leans on (heap tuples, list queues,
@@ -194,10 +222,13 @@ def _calibration_kernel() -> float:
 
 def measure(repeats: int = 5, trace: bool = False) -> tuple[dict, float]:
     """(seconds-per-iteration per workload, calibration seconds)."""
-    results = measure_stage(build_workloads(trace), repeats)
+    return measure_stage(build_workloads(trace), repeats), _calibrate(repeats)
+
+
+def _calibrate(repeats: int) -> float:
+    """Best-of-``repeats`` seconds of the calibration kernel, warmed once."""
     _calibration_kernel()
-    calibration = min(_time_once(_calibration_kernel) for _ in range(repeats))
-    return results, calibration
+    return min(_time_once(_calibration_kernel) for _ in range(repeats))
 
 
 def measure_stage(workloads, repeats: int = 5) -> dict:
@@ -221,6 +252,40 @@ def load_baseline() -> dict:
         return json.load(fh)
 
 
+def save_baseline(bench: dict) -> None:
+    with open(BASELINE_PATH, "w") as fh:
+        json.dump(bench, fh, indent=1)
+        fh.write("\n")
+
+
+def _print_results(results: dict, calibration: float) -> None:
+    print(json.dumps(
+        {**{k: round(v, 6) for k, v in results.items()},
+         "calibration": round(calibration, 6)},
+        indent=1,
+    ))
+
+
+def _gate(results: dict, baseline: dict, base_cal, calibration: float,
+          tolerance: float) -> list[str]:
+    """Print each workload against its calibration-scaled baseline and
+    return the names more than ``tolerance`` slower."""
+    scale = calibration / base_cal if base_cal else 1.0
+    failures = []
+    for name, sec in results.items():
+        ref = baseline.get(name)
+        if ref is None:
+            continue
+        slowdown = sec / (ref * scale) - 1.0
+        bad = slowdown > tolerance
+        status = "FAIL" if bad else "ok"
+        print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
+              f"{ref*scale*1e3:.1f} ms ({slowdown:+.0%}) {status}")
+        if bad:
+            failures.append(name)
+    return failures
+
+
 def _gate_baseline(bench: dict) -> tuple[dict, float, str]:
     """(workload baseline, its calibration, label): the pr4 stage entry
     when committed, else the pr3 'after'."""
@@ -233,40 +298,30 @@ def _gate_baseline(bench: dict) -> tuple[dict, float, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("command",
-                        choices=["measure", "check", "trace-overhead", "pr8",
-                                 "compose"])
+                        choices=["measure", "check", "trace-overhead", *STAGES])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional slowdown vs baseline (check)")
     parser.add_argument("--update",
-                        choices=["before", "after", "pr4", "pr7", "pr8",
-                                 "compose"],
+                        choices=["before", "after", "pr4", "pr7", *STAGES],
                         help="write measurements into BENCH_engine.json "
-                        "(pr7 records the trace-overhead stage, pr8 the "
-                        "variant dispatch stage, compose the job-mix "
-                        "composition stage)")
+                        "(pr7 records the trace-overhead stage; a stage "
+                        f"command ({', '.join(STAGES)}) records its own "
+                        "block)")
     args = parser.parse_args(argv)
-    if args.update == "pr8" and args.command != "pr8":
-        parser.error("--update pr8 belongs to the 'pr8' command")
-    if args.update == "compose" and args.command != "compose":
-        parser.error("--update compose belongs to the 'compose' command")
-    if args.command == "pr8":
-        if args.update not in (None, "pr8"):
-            parser.error("the 'pr8' command only accepts --update pr8")
-        return pr8_stage(args)
-    if args.command == "compose":
-        if args.update not in (None, "compose"):
-            parser.error("the 'compose' command only accepts --update compose")
-        return compose_stage(args)
+    if args.update in STAGES and args.command != args.update:
+        parser.error(f"--update {args.update} belongs to the "
+                     f"{args.update!r} command")
+    if args.command in STAGES:
+        if args.update not in (None, args.command):
+            parser.error(f"the {args.command!r} command only accepts "
+                         f"--update {args.command}")
+        return run_stage(args)
     if args.command == "trace-overhead":
         return trace_overhead(args)
 
     results, calibration = measure(args.repeats)
-    print(json.dumps(
-        {**{k: round(v, 6) for k, v in results.items()},
-         "calibration": round(calibration, 6)},
-        indent=1,
-    ))
+    _print_results(results, calibration)
 
     if args.update:
         bench = load_baseline()
@@ -280,65 +335,26 @@ def main(argv=None) -> int:
             bench[args.update] = {k: round(v, 6) for k, v in results.items()}
             bench[f"{args.update}_calibration"] = round(calibration, 6)
         _rederive(bench)
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(bench, fh, indent=1)
-            fh.write("\n")
+        save_baseline(bench)
         print(f"updated {args.update!r} in {BASELINE_PATH}")
 
     if args.command == "check":
         bench = load_baseline()
         baseline, base_cal, label = _gate_baseline(bench)
-        scale = calibration / base_cal if base_cal else 1.0
         print(f"baseline: {label}")
-        print(f"host speed vs baseline host: {scale:.2f}x "
+        print(f"host speed vs baseline host: {calibration / base_cal:.2f}x "
               f"(calibration {calibration*1e3:.0f} ms vs {base_cal*1e3:.0f} ms)"
               if base_cal else "no calibration baseline; absolute comparison")
-        failures = []
-        for name, sec in results.items():
-            ref = baseline.get(name)
-            if ref is None:
-                continue
-            slowdown = sec / (ref * scale) - 1.0
-            bad = slowdown > args.tolerance
-            status = "FAIL" if bad else "ok"
-            print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
-                  f"{ref*scale*1e3:.1f} ms ({slowdown:+.0%}) {status}")
-            if bad:
-                failures.append(name)
-        pr8_entry = (bench.get("pr8") or {}).get(STAGE_KEY)
-        if pr8_entry and pr8_entry.get("workloads"):
-            p8_results = measure_stage(build_pr8_workloads(), args.repeats)
-            cal8 = pr8_entry.get("calibration")
-            scale8 = calibration / cal8 if cal8 else 1.0
-            print("pr8 stage (variant dispatch):")
-            for name, sec in p8_results.items():
-                ref = pr8_entry["workloads"].get(name)
-                if ref is None:
-                    continue
-                slowdown = sec / (ref * scale8) - 1.0
-                bad = slowdown > args.tolerance
-                status = "FAIL" if bad else "ok"
-                print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
-                      f"{ref*scale8*1e3:.1f} ms ({slowdown:+.0%}) {status}")
-                if bad:
-                    failures.append(name)
-        compose_entry = (bench.get("compose") or {}).get(STAGE_KEY)
-        if compose_entry and compose_entry.get("workloads"):
-            c_results = measure_stage(build_compose_workloads(), args.repeats)
-            cal_c = compose_entry.get("calibration")
-            scale_c = calibration / cal_c if cal_c else 1.0
-            print("compose stage (job-mix core composition):")
-            for name, sec in c_results.items():
-                ref = compose_entry["workloads"].get(name)
-                if ref is None:
-                    continue
-                slowdown = sec / (ref * scale_c) - 1.0
-                bad = slowdown > args.tolerance
-                status = "FAIL" if bad else "ok"
-                print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
-                      f"{ref*scale_c*1e3:.1f} ms ({slowdown:+.0%}) {status}")
-                if bad:
-                    failures.append(name)
+        failures = _gate(results, baseline, base_cal, calibration,
+                         args.tolerance)
+        for name, (build, label) in STAGES.items():
+            entry = (bench.get(name) or {}).get(STAGE_KEY)
+            if entry and entry.get("workloads"):
+                print(f"{name} stage ({label}):")
+                failures += _gate(
+                    measure_stage(build(), args.repeats), entry["workloads"],
+                    entry.get("calibration"), calibration, args.tolerance,
+                )
         if failures:
             print(f"REGRESSION: {', '.join(failures)} exceeded "
                   f"{args.tolerance:.0%} over the committed baseline",
@@ -348,53 +364,21 @@ def main(argv=None) -> int:
     return 0
 
 
-def pr8_stage(args) -> int:
-    """Measure the variant dispatch stage and optionally record it
-    (``--update pr8``) in the ``pr8`` block."""
-    results = measure_stage(build_pr8_workloads(), args.repeats)
-    _calibration_kernel()
-    calibration = min(_time_once(_calibration_kernel)
-                      for _ in range(args.repeats))
-    print(json.dumps(
-        {**{k: round(v, 6) for k, v in results.items()},
-         "calibration": round(calibration, 6)},
-        indent=1,
-    ))
-    if args.update == "pr8":
+def run_stage(args) -> int:
+    """Measure one ``STAGES`` entry and optionally record it (``--update
+    <stage>``) in its own block."""
+    build, _label = STAGES[args.command]
+    results = measure_stage(build(), args.repeats)
+    calibration = _calibrate(args.repeats)
+    _print_results(results, calibration)
+    if args.update == args.command:
         bench = load_baseline()
-        bench.setdefault("pr8", {})[STAGE_KEY] = {
+        bench.setdefault(args.command, {})[STAGE_KEY] = {
             "workloads": {k: round(v, 6) for k, v in results.items()},
             "calibration": round(calibration, 6),
         }
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(bench, fh, indent=1)
-            fh.write("\n")
-        print(f"updated 'pr8' in {BASELINE_PATH}")
-    return 0
-
-
-def compose_stage(args) -> int:
-    """Measure the job-mix composition stage and optionally record it
-    (``--update compose``) in the ``compose`` block."""
-    results = measure_stage(build_compose_workloads(), args.repeats)
-    _calibration_kernel()
-    calibration = min(_time_once(_calibration_kernel)
-                      for _ in range(args.repeats))
-    print(json.dumps(
-        {**{k: round(v, 6) for k, v in results.items()},
-         "calibration": round(calibration, 6)},
-        indent=1,
-    ))
-    if args.update == "compose":
-        bench = load_baseline()
-        bench.setdefault("compose", {})[STAGE_KEY] = {
-            "workloads": {k: round(v, 6) for k, v in results.items()},
-            "calibration": round(calibration, 6),
-        }
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(bench, fh, indent=1)
-            fh.write("\n")
-        print(f"updated 'compose' in {BASELINE_PATH}")
+        save_baseline(bench)
+        print(f"updated {args.command!r} in {BASELINE_PATH}")
     return 0
 
 
@@ -420,10 +404,7 @@ def trace_overhead(args) -> int:
             best_t = min(best_t, _time_once(fn_t))
         untraced[name] = best_u / per_call
         traced[name] = best_t / per_call
-    _calibration_kernel()
-    calibration = min(
-        _time_once(_calibration_kernel) for _ in range(args.repeats)
-    )
+    calibration = _calibrate(args.repeats)
     overhead = {
         name: round(traced[name] / untraced[name] - 1.0, 4)
         for name in untraced
@@ -439,9 +420,7 @@ def trace_overhead(args) -> int:
             "overhead_frac": overhead,
             "calibration": round(calibration, 6),
         }
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(bench, fh, indent=1)
-            fh.write("\n")
+        save_baseline(bench)
         print(f"updated 'pr7_trace' in {BASELINE_PATH}")
     return 0
 

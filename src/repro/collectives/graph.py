@@ -203,6 +203,7 @@ def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph
     # --- worker replicas, gated by the chunk updates ---------------------
     placement = {p.name: LOCAL for p in ir.params}
     replica = emit_graph(ir, WORKER_TRAINING, placement=placement)
+    stitches: list[tuple[int, int]] = []
     for w in workers:
         compute = Resource.compute(w)
         mapping = g.merge(replica.graph, rename=lambda n: f"{w}/{n}")
@@ -219,7 +220,7 @@ def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph
                 op.cost = 0.0
                 op.attrs["local_param"] = True
                 chunk = chunk_of_param[op.param]
-                g.add_edge(update_ids[(w, chunk.name)], op.op_id)
+                stitches.append((update_ids[(w, chunk.name)], op.op_id))
                 recvs[op.param] = update_ids[(w, chunk.name)]
             elif op.kind is OpKind.SEND:
                 # Gradient exit: zero-cost marker; the produced gradient
@@ -228,6 +229,7 @@ def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph
                 op.cost = 0.0
                 op.attrs["grad_marker"] = True
         cluster.param_recvs[w] = recvs
+    g.add_edges(stitches)
 
     cluster.worker_ops = worker_ops
     cluster.iteration_ops[0] = list(range(len(g)))

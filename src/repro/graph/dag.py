@@ -5,13 +5,14 @@ emits one per model replica, the cluster builder merges replicas with PS
 subgraphs, the scheduling algorithms consume the single-worker reference
 partition, and the simulator executes the merged cluster graph.
 
-The structure is append-only (ops are never removed) which keeps op ids
-dense and stable — a property the vectorized property computation in
-:mod:`repro.core.properties` relies on.
+The structure is append-only (ops are never removed), which keeps op ids
+dense and stable for :mod:`repro.core.properties`. Ids are creation order,
+not topological once an edge is stitched from a higher id to a lower one.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .op import Op, OpKind, Resource
@@ -29,10 +30,10 @@ class Graph:
     Edges point from producer to consumer: ``u -> v`` means ``v`` consumes
     the output of ``u`` and cannot start before ``u`` finishes.
 
-    Cycle safety is enforced structurally: an op may only declare inputs
-    that already exist in the graph, so no cycle can ever be constructed.
-    ``validate()`` re-checks global invariants for graphs assembled by
-    multiple builders.
+    :meth:`add_op` only accepts inputs that already exist, so its edges run
+    from lower ids to higher ones; :meth:`add_edges` stitches edges in either
+    direction and rejects a batch that would close a cycle. ``validate()``
+    re-checks global invariants for graphs assembled by multiple builders.
     """
 
     def __init__(self, name: str = "graph") -> None:
@@ -108,39 +109,42 @@ class Graph:
             mapping[op.op_id] = new.op_id
         return mapping
 
-    def add_edge(self, src: OpRef, dst: OpRef) -> None:
-        """Add a dependency edge between two existing ops.
+    def add_edges(self, pairs: Iterable[tuple[OpRef, OpRef]]) -> None:
+        """Add ``(src, dst)`` dependency edges between existing ops, as one batch.
 
-        Used by the cluster builder to stitch cross-device dependencies
-        (e.g. a PS ``send`` consuming the ``update`` of the same parameter).
-        Raises :class:`GraphError` if the edge would create a cycle.
+        The cluster builders stitch cross-device dependencies with it (e.g. a
+        worker ``recv`` waiting on its PS ``send``); present edges are skipped.
+        Raises :class:`GraphError`, leaving the graph unchanged, on an unknown
+        ref, a self-loop or a cycle. Every batch costs one Kahn pass.
         """
-        s, d = self._resolve(src), self._resolve(dst)
-        if s == d:
-            raise GraphError(f"self-loop on op {self._ops[s].name!r}")
-        if d in self._preds[s] or self._reaches(d, s):
-            raise GraphError(
-                f"edge {self._ops[s].name!r} -> {self._ops[d].name!r} would create a cycle"
-            )
-        if s in self._preds[d]:
-            return  # already present
-        self._preds[d].append(s)
-        self._succs[s].append(d)
-
-    def _reaches(self, src: int, dst: int) -> bool:
-        """DFS reachability check used by :meth:`add_edge` cycle detection."""
-        if src == dst:
-            return True
-        seen = {src}
-        stack = [src]
-        while stack:
-            for nxt in self._succs[stack.pop()]:
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+        batch = [(self._resolve(src), self._resolve(dst)) for src, dst in pairs]
+        for s, d in batch:
+            if s == d:
+                raise GraphError(f"self-loop on op {self._ops[s].name!r}")
+        added: list[tuple[int, int]] = []
+        for s, d in batch:
+            if s not in self._preds[d]:
+                self._preds[d].append(s)
+                self._succs[s].append(d)
+                added.append((s, d))
+        placed = {op.op_id for op in self.topological_order()}
+        if len(placed) == len(self._ops):
+            return
+        # Each unplaced op has an unplaced predecessor: walking back closes a cycle.
+        path: dict[int, int] = {}
+        cur = next(i for i in range(len(self._ops)) if i not in placed)
+        while cur not in path:
+            path[cur] = len(path)
+            cur = next(p for p in self._preds[cur] if p not in placed)
+        ring = list(path)[path[cur]:]
+        cycle = list(zip(ring[1:] + ring[:1], ring))  # (predecessor, op) edges
+        new = set(added)
+        s, d = next((e for e in cycle if e in new), cycle[0])
+        for s2, d2 in reversed(added):  # each edge was appended last
+            self._preds[d2].pop()
+            self._succs[s2].pop()
+        src, dst = self._ops[s].name, self._ops[d].name
+        raise GraphError(f"edges would create a cycle through new edge {src!r} -> {dst!r}")
 
     # ------------------------------------------------------------------
     # Lookup
@@ -216,29 +220,24 @@ class Graph:
         return self.ops_of_kind(OpKind.RECV)
 
     def topological_order(self, key: Optional[Callable[[Op], object]] = None) -> list[Op]:
-        """One topological order (Kahn). ``key`` breaks ties (stable by id
-        when omitted); because ops can only reference earlier ops, id order
-        itself is already topological — the method exists for explicit
-        orders and for validation of externally stitched edges."""
-        import heapq
-
-        if key is None:
-            order = list(self._ops)
-            return order
+        """One topological order (Kahn): smallest ready ``(key(op), op_id)``
+        first, or smallest id without ``key``, so a graph without backward
+        edges comes out in id order. Walk this, not id order, when producers
+        must come first: :meth:`add_edges` may stitch edges backwards."""
+        def entry(i: int):
+            return i if key is None else (key(self._ops[i]), i)
         indeg = [len(p) for p in self._preds]
-        heap = [(key(op), op.op_id) for op in self._ops if indeg[op.op_id] == 0]
+        heap = [entry(i) for i, n in enumerate(indeg) if n == 0]
         heapq.heapify(heap)
         out: list[Op] = []
         while heap:
-            _, oid = heapq.heappop(heap)
-            out.append(self._ops[oid])
-            for s in self._succs[oid]:
+            i = heapq.heappop(heap) if key is None else heapq.heappop(heap)[1]
+            out.append(self._ops[i])
+            for s in self._succs[i]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
-                    heapq.heappush(heap, (key(self._ops[s]), s))
-        if len(out) != len(self._ops):  # pragma: no cover - structurally impossible
-            raise GraphError("graph contains a cycle")
-        return out
+                    heapq.heappush(heap, entry(s))
+        return out  # short of len(self) only inside add_edges, on a cycle
 
     def validate(self) -> None:
         """Re-check global invariants; raises :class:`GraphError` on failure.

@@ -62,7 +62,7 @@ class PartitionedGraph:
         return sorted(self._by_resource, key=lambda r: r.name)
 
     def ops_on(self, resource: Resource) -> list[Op]:
-        """Ops assigned to ``resource`` (id order, i.e. topological)."""
+        """Ops assigned to ``resource``, in id order (not always topological)."""
         return list(self._by_resource.get(resource, ()))
 
     def load(self, time: Optional[Mapping[int, float]] = None) -> dict[Resource, float]:

@@ -3,8 +3,9 @@
 The *communication dependency* of an op is the set of recv ops it directly
 or transitively depends on (``op.dep``). The paper extracts these "using a
 depth-first post-fix graph traversal on the DAG"; we compute the identical
-fixpoint by a single topological sweep, accumulating each op's dependency
-set as the union of its predecessors' sets.
+fixpoint by a single sweep in :meth:`~repro.graph.dag.Graph.topological_order`
+(not id order, which stitched cluster graphs break), accumulating each op's
+dependency set as the union of its predecessors' sets.
 
 Two representations are produced:
 
@@ -43,12 +44,12 @@ def communication_dependency_masks(
     """Per-op dependency bitmask over the graph's recv ops.
 
     ``masks[i]`` has bit ``k`` set iff op ``i`` transitively depends on the
-    ``k``-th recv op (recv ops depend on themselves). Ops are visited in id
-    order, which is topological by construction of :class:`Graph`.
+    ``k``-th recv op (recv ops depend on themselves). Ops are visited in
+    :meth:`Graph.topological_order` (id order on a reference partition).
     """
     index = recv_index(graph, recv_ops)
     masks = [0] * len(graph)
-    for op in graph:
+    for op in graph.topological_order():
         m = 0
         for p in graph.pred_ids(op.op_id):
             m |= masks[p]
@@ -116,7 +117,7 @@ def critical_path_cost(graph: Graph) -> float:
     """
     finish = [0.0] * len(graph)
     best = 0.0
-    for op in graph:
+    for op in graph.topological_order():
         start = 0.0
         for p in graph.pred_ids(op.op_id):
             if finish[p] > start:

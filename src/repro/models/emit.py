@@ -157,9 +157,7 @@ class _Emitter:
             out = self._compute(f"{n}/{kernel}", node.flops, ins + [c])
         elif op == "flatten":
             c = self._aux(f"{n}/shape")
-            out = self._aux(f"{n}/Reshape")
-            self.g.add_edge(ins[0], out)
-            self.g.add_edge(c, out)
+            out = self._aux(f"{n}/Reshape", [ins[0], c])
         elif op == "fc":
             out = self._compute(f"{n}/MatMul", node.flops, ins + reads)
         elif op == "concat":
@@ -283,9 +281,7 @@ class _Emitter:
                 [gin, self.result.output_ops[n], ins[0]])
         elif op == "flatten":
             c = self._aux(f"gradients/{n}/orig_shape")
-            g = self._aux(f"gradients/{n}/Reshape")
-            self.g.add_edge(gin, g)
-            self.g.add_edge(c, g)
+            g = self._aux(f"gradients/{n}/Reshape", [gin, c])
             outs[node.inputs[0]] = g
         elif op == "fc":
             weights = node.params[0]

@@ -156,6 +156,7 @@ def build_cluster_graph(
     #: iteration-(k-1) final output op per worker (inference agent loop).
     prev_output: dict[str, Op] = {}
     final_local_name = replica.output_ops[list(ir.nodes)[-1]]
+    stitches: list[tuple[int, int]] = []  # (PS send, worker recv) edges
 
     for k in range(n_iterations):
         prefix = f"it{k}/" if n_iterations > 1 else ""
@@ -222,7 +223,7 @@ def build_cluster_graph(
                         activation_only=True,
                     )
                     iteration_op_ids.append(send.op_id)
-                    g.add_edge(send.op_id, op.op_id)
+                    stitches.append((send.op_id, op.op_id))
                 elif op.kind is OpKind.SEND:
                     ps_dev = op.attrs["ps"]
                     link = Resource.link(worker, ps_dev)
@@ -285,5 +286,6 @@ def build_cluster_graph(
                     [r.op_id for r in recv_acts] + [agg.op_id, update.op_id]
                 )
         cluster.iteration_ops[k] = iteration_op_ids
+    g.add_edges(stitches)
 
     return cluster

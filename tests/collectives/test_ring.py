@@ -12,7 +12,7 @@ from repro.graph import OpKind, ResourceKind
 from repro.sim import SimConfig, simulate_cluster
 from repro.timing.platform import WIRE
 
-from ..conftest import tiny_model
+from ..conftest import assert_topological, tiny_model
 from ..strategies import model_irs
 
 
@@ -107,8 +107,8 @@ def test_collective_graph_structural_invariants(
     )
     cluster = build_collective_graph(ir, spec)
     g = cluster.graph
-    g.validate()  # structural invariants + cycle-free by construction
-    assert len(g.topological_order()) == len(g)
+    g.validate()  # structural invariants
+    assert_topological(g)  # update -> read stitches close no cycle
     # every op carries a resource tag (the engine requires it)
     assert all(op.resource is not None for op in g)
     # one update per (worker, chunk)

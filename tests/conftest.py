@@ -37,6 +37,16 @@ def make_worker_graph(edges, costs=None, params=None):
     return g
 
 
+def assert_topological(g):
+    """``g.topological_order()`` lists every op once, each after all of its
+    predecessors."""
+    pos = {op.op_id: i for i, op in enumerate(g.topological_order())}
+    assert len(pos) == len(g)
+    for op in g:
+        for p in g.pred_ids(op.op_id):
+            assert pos[p] < pos[op.op_id], (g.op(p).name, op.name)
+
+
 @pytest.fixture
 def fig1a():
     """Figure 1a: recv1 -> op1; op2 needs op1 AND recv2."""

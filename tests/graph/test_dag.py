@@ -72,24 +72,57 @@ def test_add_edge_rejects_cycle():
     g.add_op("a")
     g.add_op("b", inputs=["a"])
     g.add_op("c", inputs=["b"])
-    with pytest.raises(GraphError, match="cycle"):
-        g.add_edge("c", "a")
+    g.add_op("d")
+    with pytest.raises(GraphError, match="cycle.*'c' -> 'a'"):
+        g.add_edges([("d", "a"), ("c", "a")])
+    # the batch is rolled back whole, the harmless edge included
+    assert [[p.op_id for p in g.predecessors(op)] for op in g] == [[], [0], [1], []]
+    assert [[s.op_id for s in g.successors(op)] for op in g] == [[1], [2], [], []]
+
+
+def test_add_edges_rejects_cycle_through_an_earlier_batch():
+    g = Graph()
+    g.add_op("a")
+    g.add_op("b")
+    g.add_edges([("b", "a")])
+    with pytest.raises(GraphError, match="cycle.*'a' -> 'b'"):
+        g.add_edges([("a", "b")])
+    assert [list(g.pred_ids(i)) for i in range(2)] == [[1], []]
+    assert [list(g.succ_ids(i)) for i in range(2)] == [[], [0]]
+    assert [op.name for op in g.topological_order()] == ["b", "a"]
+
+
+def test_add_edges_names_an_edge_on_the_cycle():
+    g = Graph()
+    g.add_op("a")
+    g.add_op("b", inputs=["a"])
+    g.add_op("c", inputs=["b"])
+    g.add_op("x")
+    # c -> x is new and lies downstream of the cycle, not on it
+    with pytest.raises(GraphError, match="cycle.*'b' -> 'a'"):
+        g.add_edges([("c", "x"), ("b", "a")])
+    assert g.in_degree("x") == 0 and g.in_degree("a") == 0
 
 
 def test_add_edge_rejects_self_loop():
     g = Graph()
     g.add_op("a")
+    g.add_op("b")
     with pytest.raises(GraphError, match="self-loop"):
-        g.add_edge("a", "a")
+        g.add_edges([("a", "b"), ("a", "a")])
+    with pytest.raises(GraphError, match="unknown op name"):
+        g.add_edges([("a", "b"), ("a", "ghost")])
+    assert g.in_degree("b") == 0  # nothing added before the bad pair was seen
 
 
 def test_add_edge_idempotent():
     g = Graph()
     g.add_op("a")
     g.add_op("b")
-    g.add_edge("a", "b")
-    g.add_edge("a", "b")
+    g.add_edges([("a", "b"), ("a", "b")])
+    g.add_edges([("a", "b")])
     assert g.in_degree("b") == 1
+    assert g.out_degree("a") == 1
 
 
 def test_merge_with_rename():
@@ -131,6 +164,7 @@ def test_insertion_order_is_topological():
     order = g.topological_order()
     pos = {op.name: i for i, op in enumerate(order)}
     assert pos["a"] < pos["b"] and pos["a"] < pos["c"]
+    assert [op.op_id for op in order] == [0, 1, 2]
 
 
 def test_validate_rejects_recv_with_same_device_pred():

@@ -1,5 +1,7 @@
 """Communication-dependency extraction and critical path."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from repro.graph import (
     dependency_sets,
     recv_index,
 )
+from repro.models import build_model
+from repro.ps import ClusterSpec, build_cluster_graph
 
 from ..conftest import make_worker_graph
 
@@ -90,3 +94,66 @@ def test_critical_path_takes_max_branch(fig4a):
 
 def test_critical_path_empty_graph():
     assert critical_path_cost(Graph()) == 0.0
+
+
+def _stitched_three_ops():
+    """``r(recv, 1) -> c(1)`` plus a send ``s(5)``, created last and
+    stitched in front of ``r``: the edge ``s -> r`` runs backwards in id."""
+    g = Graph()
+    g.add_op("r", OpKind.RECV, cost=1.0)
+    g.add_op("c", inputs=["r"], cost=1.0)
+    g.add_op("s", OpKind.SEND, cost=5.0)
+    g.add_edges([("s", "r")])
+    return g
+
+
+def _alexnet_inference_unrolled():
+    ir = build_model("AlexNet v2")
+    return build_cluster_graph(
+        ir, ClusterSpec(2, 1, "inference"), n_iterations=2
+    ).graph
+
+
+def _kahn_reference(g):
+    """FIFO Kahn order, written independently of ``Graph``."""
+    indeg = [g.in_degree(op) for op in g]
+    ready = deque(i for i, n in enumerate(indeg) if n == 0)
+    order = []
+    while ready:
+        i = ready.popleft()
+        order.append(i)
+        for s in g.succ_ids(i):
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                ready.append(s)
+    assert len(order) == len(g)
+    return order
+
+
+STITCHED = pytest.mark.parametrize(
+    "make", [_stitched_three_ops, _alexnet_inference_unrolled],
+    ids=["three_ops", "alexnet_v2_inference_x2"],
+)
+
+
+@STITCHED
+def test_critical_path_on_stitched_graph(make):
+    g = make()
+    finish = [0.0] * len(g)
+    for i in _kahn_reference(g):
+        finish[i] = max((finish[p] for p in g.pred_ids(i)), default=0.0) + g.op(i).cost
+    assert critical_path_cost(g) == max(finish)
+    if make is _stitched_three_ops:
+        assert critical_path_cost(g) == pytest.approx(7.0)
+
+
+@STITCHED
+def test_dependency_sets_on_stitched_graph(make):
+    g = make()
+    expected = [frozenset()] * len(g)
+    for i in _kahn_reference(g):
+        dep = frozenset().union(*(expected[p] for p in g.pred_ids(i)))
+        if g.op(i).kind is OpKind.RECV:
+            dep |= {i}
+        expected[i] = dep
+    assert dependency_sets(g) == expected

@@ -11,7 +11,7 @@ from repro.models.emit import (
     WORKER_TRAINING,
 )
 
-from ..conftest import tiny_model
+from ..conftest import assert_topological, tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +113,7 @@ def test_backward_mirrors_conv_with_two_backprops(ir, placement):
 def test_training_graph_is_acyclic_and_validates(ir, placement):
     res = emit_graph(ir, WORKER_TRAINING, placement=placement)
     res.graph.validate()
-    order = res.graph.topological_order()
-    assert len(order) == len(res.graph)
+    assert_topological(res.graph)
 
 
 def test_multi_consumer_forward_output_gets_addn():

@@ -5,7 +5,7 @@ import pytest
 from repro.graph import GraphError, OpKind, PartitionedGraph, Resource
 from repro.ps import ClusterSpec, build_cluster_graph, build_reference_partition
 
-from ..conftest import tiny_model
+from ..conftest import assert_topological, tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +33,12 @@ def test_spec_validation():
     assert ClusterSpec(4, 2).workers == ["worker:0", "worker:1", "worker:2", "worker:3"]
 
 
-def test_cluster_validates_and_partitions(train_cluster):
-    train_cluster.graph.validate()
-    PartitionedGraph(train_cluster.graph)
+def test_cluster_validates_and_partitions(train_cluster, infer_cluster):
+    for cluster in (train_cluster, infer_cluster):
+        cluster.graph.validate()
+        PartitionedGraph(cluster.graph)
+        # send -> recv stitches run from a higher op id to a lower one
+        assert_topological(cluster.graph)
 
 
 def test_param_transfer_count(ir, train_cluster):

@@ -5,7 +5,7 @@ import pytest
 from repro.graph import OpKind, PartitionedGraph
 from repro.ps import ClusterSpec, build_cluster_graph
 
-from ..conftest import tiny_model
+from ..conftest import assert_topological, tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +27,11 @@ def test_invalid_window_rejected():
         build_cluster_graph(tiny_model(), ClusterSpec(1, 1), n_iterations=0)
 
 
-def test_unrolled_validates_and_partitions(unrolled_train):
-    unrolled_train.graph.validate()
-    PartitionedGraph(unrolled_train.graph)
+def test_unrolled_validates_and_partitions(unrolled_train, unrolled_infer):
+    for cluster in (unrolled_train, unrolled_infer):
+        cluster.graph.validate()
+        PartitionedGraph(cluster.graph)
+        assert_topological(cluster.graph)
 
 
 def test_iteration_ops_partition_the_graph(unrolled_train):
